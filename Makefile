@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet vet-wf bench bench-cache bench-search \
+.PHONY: all build test race fmt vet vet-wf bench bench-cache bench-search bench-digests \
 	smoke smoke-wfd smoke-window smoke-faults smoke-transfer tools lint cover ci
 
 all: build
@@ -102,11 +102,25 @@ bench-cache:
 # Cholesky extension vs the full-refit baseline, the sliding-window add
 # (extend + rank-1 downdate), the batched acquisition paths (batch EI and
 # the DTM pool pass, each with a 0-alloc steady-state assertion), the
-# native constant-liar Bayesian batch proposal, and the DeepTune observe
-# path — so the model side of the search loop gets its own race-detector
-# smoke on every push.
+# sequential Bayesian proposal and the native constant-liar batch proposal,
+# and the DeepTune observe path — so the model side of the search loop gets
+# its own race-detector smoke on every push.
 bench-search:
-	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianProposeBatch|DeepTuneObserve' -benchtime=1x -run='^$$' .
+	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
+
+# bench-digests machine-checks the end-to-end bit-identity contract: one
+# short run of each standing-benchmark workload on seed 1, each of which
+# exits non-zero when its canonical-report digest differs from the one
+# pinned in perfbench/digests.json (a change in search behaviour that
+# would otherwise read as a speed-up), then the benchmark module's own
+# vet and tests (perfbench is a separate module that `go test ./...` at
+# the root does not reach).
+bench-digests:
+	@set -e; for w in tune-bayesian tune-deeptune serve; do \
+		echo "bench-digests: $$w seed 1"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	done
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming
@@ -156,4 +170,4 @@ smoke-faults:
 	$(GO) run -race ./cmd/wfbench -exp elasticity
 	$(GO) run -race ./cmd/wfbench -exp locality
 
-ci: fmt vet vet-wf build race bench bench-cache bench-search smoke smoke-wfd smoke-window smoke-faults smoke-transfer
+ci: fmt vet vet-wf build race bench bench-cache bench-search bench-digests smoke smoke-wfd smoke-window smoke-faults smoke-transfer

@@ -242,6 +242,29 @@ func BenchmarkDTMScorePoolBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pool), "ns/candidate")
 }
 
+// BenchmarkBayesianPropose measures one sequential proposal on a warm
+// 128-observation surrogate over the default Linux runtime space: draw
+// and encode a 96-candidate pool, one batched EI sweep, pick the best.
+// Nothing is observed, so the surrogate (and so the cost per op) stays
+// fixed. The pool is reused, so B/op is essentially the one fresh Config
+// that replaces the proposed one.
+func BenchmarkBayesianPropose(b *testing.B) {
+	m := simos.NewLinux(simos.DefaultLinuxOptions())
+	m.Space.Favor(configspace.CompileTime, 0)
+	s := search.NewBayesian(m.Space, true, 1)
+	enc := configspace.NewEncoder(m.Space)
+	r := rng.New(2)
+	for i := 0; i < 128; i++ {
+		c := m.Space.Random(r)
+		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Propose()
+	}
+}
+
 // BenchmarkBayesianProposeBatch measures the native 8-slot batch proposal
 // on a warm surrogate: one shared 96-candidate pool scored per slot, with
 // constant-liar fantasized observations conditioning later slots.

@@ -223,6 +223,18 @@ func sampleValue(p *Param, r *rng.RNG) Value {
 // search modes (§3.5, §4.1, §4.4) constrain generation.
 func (s *Space) Random(r *rng.RNG) *Config {
 	c := newConfig(s)
+	s.RandomInto(r, c)
+	return c
+}
+
+// RandomInto overwrites every value of c, which must belong to s, with a
+// random draw: the same RNG draws, in the same order, as Random. It lets
+// a caller that draws many throwaway candidates (a searcher's scoring
+// pool) reuse their storage instead of allocating a Config per draw.
+func (s *Space) RandomInto(r *rng.RNG, c *Config) {
+	if c.space != s || len(c.values) != len(s.params) {
+		panic("configspace: RandomInto with a config of another space")
+	}
 	for i, p := range s.params {
 		if p.Fixed || s.favored[p.Class] <= 0 {
 			c.values[i] = p.Default
@@ -230,7 +242,6 @@ func (s *Space) Random(r *rng.RNG) *Config {
 		}
 		c.values[i] = sampleValue(p, r)
 	}
-	return c
 }
 
 // Mutate returns a copy of base with k randomly-chosen non-fixed parameters

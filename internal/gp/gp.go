@@ -24,6 +24,31 @@
 //     speculative observation in O(n²) and removes it for free — the
 //     mechanism that makes constant-liar batch proposal affordable.
 //
+// Scoring a candidate pool (ExpectedImprovementBatch, the whole of a
+// Bayesian proposal's cost) is n×m kernel evaluations over d features
+// plus one n×m triangular solve, and both are arranged for the hardware
+// without changing a bit of the result:
+//
+//   - The cross-kernel is register-blocked, 2 training rows × 4
+//     candidates per pass over the features: six vector loads feed eight
+//     distances on eight independent add chains, instead of two loads
+//     and one latency-bound chain per distance.
+//   - The batched forward solve (stats.TriFactor.ForwardSolveBatch)
+//     eliminates two solved rows per pass over each output row.
+//
+// Both keep every output element's own accumulator and its own operation
+// sequence: the same `acc += e*e` (kernel) and `v -= l*x` (solve) terms,
+// in the same order, as the scalar Predict path. There is no
+// reassociation, and because the per-element expression shape is the
+// same, a GOARCH that fuses multiply-adds fuses both paths alike — so
+// batch EI equals the scalar EI under math.Float64bits on every
+// architecture, which is what keeps the session digests stable. The
+// textbook alternative, distances from cached squared norms
+// (‖a‖²+‖b‖²−2a·b), was rejected: it is a different rounding sequence,
+// so it changes EI bits and with them which candidate a session picks.
+// Candidates of the wrong length are rejected (ErrDimension) before any
+// scoring; the blocked kernel relies on that check.
+//
 // Jitter policy: when a factorization (full or incremental) fails, a
 // diagonal jitter of 1e-6·σ_f² is added and retained for the rest of the
 // model's life, so the incremental factor and a from-scratch refit stay
@@ -159,7 +184,12 @@ func (g *GP) Add(x []float64, y float64) {
 }
 
 func (g *GP) kernel(a, b []float64) float64 {
-	d2 := stats.SquaredDistance(a, b)
+	return g.rbf(stats.SquaredDistance(a, b))
+}
+
+// rbf maps a squared distance to its kernel value — the one expression
+// the scalar kernel and the blocked cross-kernel share.
+func (g *GP) rbf(d2 float64) float64 {
 	return g.SignalVar * math.Exp(-d2/(2*g.LengthScale*g.LengthScale))
 }
 
@@ -179,6 +209,20 @@ func (g *GP) kernelRow(i int) []float64 {
 
 // ErrNoData is returned when predicting from an empty model.
 var ErrNoData = errors.New("gp: no observations")
+
+// ErrDimension is returned when a candidate's length differs from the
+// training vectors' — scored anyway, a shorter one would be compared on a
+// prefix and a longer one would index past the training data.
+var ErrDimension = errors.New("gp: candidate length differs from the training vectors")
+
+// checkDim rejects a candidate whose length is not the model's feature
+// dimension. The model must be synced (so it has a training vector).
+func (g *GP) checkDim(x []float64) error {
+	if d := len(g.xs[0]); len(x) != d {
+		return fmt.Errorf("%w: %d features, model has %d", ErrDimension, len(x), d)
+	}
+	return nil
+}
 
 // sync brings the factor and weights up to date with the observation list
 // (incremental extensions, window downdates, refactorizations — see
@@ -461,6 +505,9 @@ func (g *GP) Predict(x []float64) (mean, std float64, err error) {
 	if err := g.sync(); err != nil {
 		return 0, 0, err
 	}
+	if err := g.checkDim(x); err != nil {
+		return 0, 0, err
+	}
 	n := len(g.xs)
 	g.kStar = resize(g.kStar, n)
 	for i := range g.xs {
@@ -524,15 +571,14 @@ func (g *GP) ExpectedImprovementBatch(cands [][]float64, best, xi float64, out [
 	if err := g.sync(); err != nil {
 		return err
 	}
-	n := len(g.xs)
-	g.kStarB = resize(g.kStarB, n*m)
-	for i := 0; i < n; i++ {
-		xp := g.xs[i]
-		row := g.kStarB[i*m : i*m+m]
-		for j, c := range cands {
-			row[j] = g.kernel(c, xp)
+	for j, c := range cands {
+		if err := g.checkDim(c); err != nil {
+			return fmt.Errorf("candidate %d: %w", j, err)
 		}
 	}
+	n := len(g.xs)
+	g.kStarB = resize(g.kStarB, n*m)
+	g.crossKernel(cands)
 	g.vB = resize(g.vB, n*m)
 	g.chol.ForwardSolveBatch(g.kStarB, g.vB, m)
 	for j, c := range cands {
@@ -551,6 +597,66 @@ func (g *GP) ExpectedImprovementBatch(cands [][]float64, best, xi float64, out [
 		out[j] = eiFromMoments(mean, math.Sqrt(variance), best, xi)
 	}
 	return nil
+}
+
+// crossKernel fills kStarB (n×m row-major) with k(cands[j], xs[i]) for
+// candidates already checked against the model dimension d. It works in
+// blocks of 2 training rows × 4 candidates: one pass over the d features
+// loads each of the six vectors once for eight distances and keeps eight
+// independent add chains in flight (a pair at a time, the loop would be
+// bound by the latency of one chain). Each entry still has its own
+// accumulator and its own in-order `acc += e*e` over k = 0..d-1 —
+// stats.SquaredDistance's expression, term for term — so every entry is
+// bit-identical to g.kernel(c, x), including under FMA fusion on
+// architectures that fuse. Leftover candidates take a 2×1 block and a
+// leftover (odd) row the scalar kernel. Reslicing every vector to d lets
+// the compiler drop the inner loops' bounds checks; it is safe only
+// because the caller has rejected candidates of any other length.
+func (g *GP) crossKernel(cands [][]float64) {
+	n, m, d := len(g.xs), len(cands), len(g.xs[0])
+	i := 0
+	for ; i+1 < n; i += 2 {
+		x0, x1 := g.xs[i][:d], g.xs[i+1][:d]
+		r0, r1 := g.kStarB[i*m:i*m+m], g.kStarB[(i+1)*m:(i+1)*m+m]
+		j := 0
+		for ; j+3 < m; j += 4 {
+			c0, c1, c2, c3 := cands[j][:d], cands[j+1][:d], cands[j+2][:d], cands[j+3][:d]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, a := range x0 {
+				b := x1[k]
+				e00, e10 := c0[k]-a, c0[k]-b
+				e01, e11 := c1[k]-a, c1[k]-b
+				e02, e12 := c2[k]-a, c2[k]-b
+				e03, e13 := c3[k]-a, c3[k]-b
+				s00 += e00 * e00
+				s01 += e01 * e01
+				s02 += e02 * e02
+				s03 += e03 * e03
+				s10 += e10 * e10
+				s11 += e11 * e11
+				s12 += e12 * e12
+				s13 += e13 * e13
+			}
+			r0[j], r0[j+1], r0[j+2], r0[j+3] = g.rbf(s00), g.rbf(s01), g.rbf(s02), g.rbf(s03)
+			r1[j], r1[j+1], r1[j+2], r1[j+3] = g.rbf(s10), g.rbf(s11), g.rbf(s12), g.rbf(s13)
+		}
+		for ; j < m; j++ {
+			c := cands[j][:d]
+			var s0, s1 float64
+			for k, a := range x0 {
+				e0, e1 := c[k]-a, c[k]-x1[k]
+				s0 += e0 * e0
+				s1 += e1 * e1
+			}
+			r0[j], r1[j] = g.rbf(s0), g.rbf(s1)
+		}
+	}
+	if i < n {
+		row := g.kStarB[i*m : i*m+m]
+		for j, c := range cands {
+			row[j] = g.kernel(c, g.xs[i])
+		}
+	}
 }
 
 func stdNormPDF(z float64) float64 {

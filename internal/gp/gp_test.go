@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -111,6 +112,37 @@ func TestExpectedImprovement(t *testing.T) {
 	}
 	if eiKnown < 0 || eiNew < 0 {
 		t.Fatal("EI must be non-negative")
+	}
+}
+
+// TestCandidateLengthMismatchRejected: a candidate shorter or longer than
+// the training vectors is an error on every scoring path, before any
+// scoring — not a prefix comparison (shorter) or an index panic (longer).
+func TestCandidateLengthMismatchRejected(t *testing.T) {
+	g := New(0.5, 1, 1e-3)
+	r := rng.New(3)
+	for i := 0; i < 5; i++ {
+		g.Add(drawVec(r, 3), r.Float64())
+	}
+	good := drawVec(r, 3)
+	for _, bad := range [][]float64{drawVec(r, 2), drawVec(r, 4), nil} {
+		if _, _, err := g.Predict(bad); !errors.Is(err, ErrDimension) {
+			t.Errorf("Predict on a %d-d candidate: err = %v, want ErrDimension", len(bad), err)
+		}
+		if _, err := g.ExpectedImprovement(bad, 0.5, 0.01); !errors.Is(err, ErrDimension) {
+			t.Errorf("ExpectedImprovement on a %d-d candidate: err = %v, want ErrDimension", len(bad), err)
+		}
+		out := []float64{-1, -1}
+		err := g.ExpectedImprovementBatch([][]float64{good, bad}, 0.5, 0.01, out)
+		if !errors.Is(err, ErrDimension) {
+			t.Errorf("ExpectedImprovementBatch with a %d-d candidate: err = %v, want ErrDimension", len(bad), err)
+		}
+		if out[0] != -1 || out[1] != -1 {
+			t.Errorf("ExpectedImprovementBatch scored before rejecting: out = %v", out)
+		}
+	}
+	if _, err := g.ExpectedImprovement(good, 0.5, 0.01); err != nil {
+		t.Fatalf("a well-formed candidate after rejections: %v", err)
 	}
 }
 

@@ -152,34 +152,58 @@ func TestFantasyAcrossWindow(t *testing.T) {
 }
 
 // TestEIBatchBitIdentical: the batched acquisition must equal the scalar
-// loop bit-for-bit, on unbounded and windowed models alike.
+// loop bit-for-bit. The sizes reach every remainder path of the blocked
+// kernels — odd and even history lengths n (the 2-row cross-kernel block
+// and the row-paired solve), candidate counts m on both sides of a
+// multiple of 4 (the 4-candidate block), and feature dimensions d from 1
+// to the Linux model's 397 — on unbounded and windowed models, with and
+// without an active fantasy frame.
 func TestEIBatchBitIdentical(t *testing.T) {
-	for _, window := range []int{0, 12} {
-		r := rng.New(11)
-		g := New(0.5, 1, 1e-3)
-		if window > 0 {
-			if err := g.SetWindow(window); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 48; i++ {
-			g.Add(drawVec(r, 3), r.Float64())
-		}
-		cands := make([][]float64, 96)
-		for i := range cands {
-			cands[i] = drawVec(r, 3)
-		}
-		batch := make([]float64, len(cands))
-		if err := g.ExpectedImprovementBatch(cands, 0.8, 0.01, batch); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cands {
-			want, err := g.ExpectedImprovement(c, 0.8, 0.01)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("window %d cand %d: batch EI %v != scalar EI %v", window, i, batch[i], want)
+	for _, d := range []int{1, 3, 397} {
+		for _, n := range []int{1, 2, 3, 5, 48, 49} {
+			for _, window := range []int{0, n} {
+				if window == 1 {
+					continue // below the 2-observation window minimum
+				}
+				for _, fantasy := range []bool{false, true} {
+					r := rng.New(uint64(11 + d + 7*n))
+					g := New(0.5, 1, 1e-3)
+					adds := n
+					if window > 0 {
+						if err := g.SetWindow(window); err != nil {
+							t.Fatal(err)
+						}
+						adds = 2*n + 3 // slide past the bound, so downdates shaped the factor
+					}
+					for i := 0; i < adds; i++ {
+						g.Add(drawVec(r, d), r.Float64())
+					}
+					if fantasy {
+						if err := g.PushFantasy(drawVec(r, d), 0.8); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, m := range []int{1, 3, 4, 5, 96, 97} {
+						cands := make([][]float64, m)
+						for i := range cands {
+							cands[i] = drawVec(r, d)
+						}
+						batch := make([]float64, m)
+						if err := g.ExpectedImprovementBatch(cands, 0.8, 0.01, batch); err != nil {
+							t.Fatal(err)
+						}
+						for i, c := range cands {
+							want, err := g.ExpectedImprovement(c, 0.8, 0.01)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if math.Float64bits(batch[i]) != math.Float64bits(want) {
+								t.Fatalf("d=%d n=%d window=%d fantasy=%v m=%d cand %d: batch EI %v != scalar EI %v",
+									d, n, window, fantasy, m, i, batch[i], want)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

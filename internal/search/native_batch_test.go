@@ -184,6 +184,100 @@ func TestBayesianProposeSurvivesFitError(t *testing.T) {
 	}
 }
 
+// TestBayesianPoolNeverMutatesHandedOutConfigs: the candidate pool is
+// overwritten in place by every proposal, so a config handed to a caller
+// must have left the pool for good. Every config returned by Propose,
+// ProposeBatch(1) and ProposeBatch(8) — on the cold start, the warm
+// surrogate and the fit-error fallback — is recorded by String and Hash
+// when returned, and must read the same after 64 more proposals and a
+// checkpoint/restore. No config may be returned twice.
+func TestBayesianPoolNeverMutatesHandedOutConfigs(t *testing.T) {
+	space := batchSpace(t)
+	s := NewBayesian(space, true, 5)
+	enc := configspace.NewEncoder(space)
+	type handed struct {
+		c    *configspace.Config
+		str  string
+		hash uint64
+	}
+	var got []handed
+	seen := map[*configspace.Config]bool{}
+	take := func(cs ...*configspace.Config) {
+		for _, c := range cs {
+			if seen[c] {
+				t.Fatalf("config %p handed out twice", c)
+			}
+			seen[c] = true
+			got = append(got, handed{c, c.String(), c.Hash()})
+			metric, crashed := syntheticMetric(c)
+			s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: metric, Crashed: crashed, Stage: "ok"})
+		}
+	}
+	// Cold start: fewer than three observations in the surrogate.
+	take(s.Propose())
+	take(s.ProposeBatch(8)...)
+	// Warm surrogate.
+	for i := 0; i < 4; i++ {
+		take(s.Propose())
+		take(s.ProposeBatch(1)...)
+		take(s.ProposeBatch(8)...)
+	}
+	// Fit-error fallback: a negative signal variance makes every
+	// factorization fail, so proposals return unscored pool slots.
+	healthy := s.model
+	s.model = gp.New(0.35, -1, -1)
+	for _, h := range got[len(got)-4:] {
+		s.model.Add(enc.Encode(h.c), 1)
+	}
+	take(s.Propose())
+	take(s.ProposeBatch(1)...)
+	take(s.ProposeBatch(8)...)
+	if s.FitErrors() == 0 {
+		t.Fatal("the broken surrogate never reached the fit-error fallback")
+	}
+	s.model = healthy
+	for i := 0; i < 8; i++ { // 64 more proposals
+		take(s.Propose())
+		take(s.ProposeBatch(7)...)
+	}
+	data, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewBayesian(space, true, 5)
+	if err := restored.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	restored.ProposeBatch(8)
+	take(s.Propose())
+	for i, h := range got {
+		if h.c.String() != h.str || h.c.Hash() != h.hash {
+			t.Fatalf("config %d changed after it was handed out: %q (%x) is now %q (%x)",
+				i, h.str, h.hash, h.c.String(), h.c.Hash())
+		}
+	}
+}
+
+// TestBayesianProposeAllocs pins the steady-state allocations of a warm
+// sequential Propose: the pool is reused, so one proposal allocates the
+// fresh Config that replaces the handed-out one (the config and its value
+// slice) — not one per candidate, as a per-pool draw would.
+func TestBayesianProposeAllocs(t *testing.T) {
+	space := batchSpace(t)
+	s := NewBayesian(space, true, 5)
+	enc := configspace.NewEncoder(space)
+	r := rng.New(6)
+	for i := 0; i < 32; i++ {
+		c := space.Random(r)
+		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: r.Float64(), Stage: "ok"})
+	}
+	s.Propose() // the first scored proposal allocates the pool
+	const want = 2
+	if allocs := testing.AllocsPerRun(20, func() { s.Propose() }); allocs > want {
+		t.Fatalf("warm sequential Propose allocates %.1f objects/op, want at most %d", allocs, want)
+	}
+}
+
 // TestDeepTuneBatchDiversityPenalty checks the shared-pool ranking: a
 // trained DeepTune batch must fill slots with distinct configurations
 // (the diversity penalty pushes later slots off the winner), and the

@@ -372,9 +372,14 @@ type Bayesian struct {
 	fitErrors int
 	pending   map[uint64]int
 
-	// Reusable proposal scratch: the candidate pool, its encodings and
-	// hashes, and the batched-EI output, regrown once and reused so a
-	// steady-state proposal allocates only the candidates themselves.
+	// Reusable proposal scratch, allocated on the first scored proposal
+	// and overwritten in place by every later one: the candidate pool
+	// (Space.RandomInto), its encodings (Encoder.EncodeInto), the batched
+	// EI output, and — for ProposeBatch only, the one reader — the pool's
+	// hashes. A pool config handed to the caller leaves the pool (its slot
+	// is set to nil) and the next draw refills that slot with a fresh
+	// Config, so no config a caller holds is ever overwritten; a steady
+	// sequential proposal allocates one Config, not one per candidate.
 	pool       []*configspace.Config
 	poolXs     [][]float64
 	poolHashes []uint64
@@ -444,23 +449,38 @@ func (s *Bayesian) Propose() *configspace.Config {
 	return s.proposeOne()
 }
 
-// drawPool fills the reusable proposal scratch with poolSize fresh random
-// candidates, their encodings, and their hashes — the same RNG draws and
-// encode order the per-candidate loop consumed, just performed upfront so
-// the pool can be scored with one kernel-matrix build and one triangular
-// batch solve instead of poolSize scalar solves.
+// drawPool refills the reusable proposal scratch with poolSize random
+// candidates and their encodings — the same RNG draws and encode order
+// the per-candidate loop consumed, just performed upfront so the pool
+// can be scored with one kernel-matrix build and one triangular batch
+// solve instead of poolSize scalar solves. Slots still holding a config
+// are overwritten in place; slots emptied by handOut get a fresh one.
 func (s *Bayesian) drawPool() {
 	if s.pool == nil {
 		s.pool = make([]*configspace.Config, s.poolSize)
 		s.poolXs = make([][]float64, s.poolSize)
-		s.poolHashes = make([]uint64, s.poolSize)
 		s.poolEIs = make([]float64, s.poolSize)
+		for i := range s.poolXs {
+			s.poolXs[i] = make([]float64, s.enc.Dim())
+		}
 	}
-	for i := range s.pool {
-		s.pool[i] = s.space.Random(s.rng)
-		s.poolXs[i] = s.enc.Encode(s.pool[i])
-		s.poolHashes[i] = s.pool[i].Hash()
+	for i, c := range s.pool {
+		if c == nil {
+			c = s.space.Random(s.rng)
+			s.pool[i] = c
+		} else {
+			s.space.RandomInto(s.rng, c)
+		}
+		s.enc.EncodeInto(c, s.poolXs[i])
 	}
+}
+
+// handOut returns pool slot i's config to the caller and empties the
+// slot, so the next drawPool cannot overwrite a config the caller holds.
+func (s *Bayesian) handOut(i int) *configspace.Config {
+	c := s.pool[i]
+	s.pool[i] = nil
+	return c
 }
 
 // proposeOne draws and scores one candidate pool — the single-proposal
@@ -476,7 +496,7 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 	s.drawPool()
 	if err := s.model.ExpectedImprovementBatch(s.poolXs, s.best, 0.01, s.poolEIs); err != nil {
 		s.fitErrors++
-		return s.pool[0]
+		return s.handOut(0)
 	}
 	bestEI, bestIdx := -1.0, 0
 	for i, ei := range s.poolEIs {
@@ -484,7 +504,7 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 			bestEI, bestIdx = ei, i
 		}
 	}
-	return s.pool[bestIdx]
+	return s.handOut(bestIdx)
 }
 
 // ProposeBatch implements BatchSearcher natively. One shared pool of
@@ -526,7 +546,15 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 		return out
 	}
 	s.drawPool()
+	if s.poolHashes == nil {
+		s.poolHashes = make([]uint64, s.poolSize)
+	}
+	for i, c := range s.pool {
+		s.poolHashes[i] = c.Hash()
+	}
 	defer s.model.PopAllFantasies()
+	// Every emptied (handed-out) slot's hash is pending from here on, so
+	// the pending checks below never reach a nil slot.
 	for slot := 0; slot < n; slot++ {
 		// One batched EI sweep per slot: the fantasy pushed for the
 		// previous pick changes the surrogate, so each slot re-scores the
@@ -555,7 +583,7 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 		var c *configspace.Config
 		var h uint64
 		if bestIdx >= 0 {
-			c, h = s.pool[bestIdx], s.poolHashes[bestIdx]
+			c, h = s.handOut(bestIdx), s.poolHashes[bestIdx]
 			if slot < n-1 {
 				// Constant liar: fantasize the pick at the incumbent best
 				// (signed), so the next slot's EI avoids its neighborhood.

@@ -77,7 +77,7 @@ func TestBayesianStateCoverage(t *testing.T) {
 			// the proposal scratch is redrawn from the RNG every proposal.
 			"pool":       "reusable proposal scratch, redrawn every proposal",
 			"poolXs":     "reusable proposal scratch, redrawn every proposal",
-			"poolHashes": "reusable proposal scratch, redrawn every proposal",
+			"poolHashes": "reusable proposal scratch, recomputed by every ProposeBatch",
 			"poolEIs":    "reusable proposal scratch, redrawn every proposal",
 		},
 	})

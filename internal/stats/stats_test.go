@@ -680,38 +680,42 @@ func TestTriFactorPackedRoundTrip(t *testing.T) {
 func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
 	// Column j of ForwardSolveBatch/SolveBatch must be bit-for-bit the
 	// scalar ForwardSolve/Solve of column j: the batch layout reorders the
-	// sweep across columns but never the FP operations within one.
+	// sweep across columns but never the FP operations within one. Odd and
+	// even n reach both the paired and the leftover elimination step.
 	r := rng.New(33)
-	const n, m = 18, 7
-	rows := randomSPDRows(n, r)
-	tf := &TriFactor{}
-	if err := tf.FactorFromRows(rows, 0); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n*m)
-	for i := range b {
-		b[i] = r.Normal(0, 1)
-	}
-	fwd := make([]float64, n*m)
-	tf.ForwardSolveBatch(b, fwd, m)
-	full := make([]float64, n*m)
-	tf.SolveBatch(b, full, m)
-	col := make([]float64, n)
-	scratch := make([]float64, n)
-	for j := 0; j < m; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b[i*m+j]
-		}
-		tf.ForwardSolve(col, scratch)
-		for i := 0; i < n; i++ {
-			if math.Float64bits(fwd[i*m+j]) != math.Float64bits(scratch[i]) {
-				t.Fatalf("ForwardSolveBatch col %d row %d: %v != scalar %v", j, i, fwd[i*m+j], scratch[i])
+	for _, n := range []int{1, 2, 3, 17, 18} {
+		for _, m := range []int{1, 7} {
+			rows := randomSPDRows(n, r)
+			tf := &TriFactor{}
+			if err := tf.FactorFromRows(rows, 0); err != nil {
+				t.Fatal(err)
 			}
-		}
-		tf.Solve(col, scratch)
-		for i := 0; i < n; i++ {
-			if math.Float64bits(full[i*m+j]) != math.Float64bits(scratch[i]) {
-				t.Fatalf("SolveBatch col %d row %d: %v != scalar %v", j, i, full[i*m+j], scratch[i])
+			b := make([]float64, n*m)
+			for i := range b {
+				b[i] = r.Normal(0, 1)
+			}
+			fwd := make([]float64, n*m)
+			tf.ForwardSolveBatch(b, fwd, m)
+			full := make([]float64, n*m)
+			tf.SolveBatch(b, full, m)
+			col := make([]float64, n)
+			scratch := make([]float64, n)
+			for j := 0; j < m; j++ {
+				for i := 0; i < n; i++ {
+					col[i] = b[i*m+j]
+				}
+				tf.ForwardSolve(col, scratch)
+				for i := 0; i < n; i++ {
+					if math.Float64bits(fwd[i*m+j]) != math.Float64bits(scratch[i]) {
+						t.Fatalf("n=%d m=%d: ForwardSolveBatch col %d row %d: %v != scalar %v", n, m, j, i, fwd[i*m+j], scratch[i])
+					}
+				}
+				tf.Solve(col, scratch)
+				for i := 0; i < n; i++ {
+					if math.Float64bits(full[i*m+j]) != math.Float64bits(scratch[i]) {
+						t.Fatalf("n=%d m=%d: SolveBatch col %d row %d: %v != scalar %v", n, m, j, i, full[i*m+j], scratch[i])
+					}
+				}
 			}
 		}
 	}
