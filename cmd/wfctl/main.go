@@ -35,18 +35,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
-	"slices"
 
-	"wayfinder/internal/apps"
+	"wayfinder"
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
-	"wayfinder/internal/deeptune"
 	"wayfinder/internal/fault"
 	"wayfinder/internal/search"
-	"wayfinder/internal/simos"
-	"wayfinder/internal/vm"
+	"wayfinder/internal/wfd"
 )
 
 func main() {
@@ -137,138 +133,26 @@ func cmdStart(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	if err := checkStartFlags(fs, startFlags{
+	flags := startFlags{
 		Workers: *workers, Async: *async, Staleness: *staleness, Hosts: *hosts,
 		GPRefit: *gpRefit, GPWindow: *gpWindow, Strategy: *strategy,
 		Faults: *faults, Dispatch: *dispatch,
-	}); err != nil {
+		Seed: *seed, Iterations: *iters, NoCache: *noCache,
+	}
+	if err := checkStartFlags(fs, flags); err != nil {
 		fatal(err)
 	}
-	job := loadJob(fs.Arg(0))
-
-	// Select the OS model. Jobs with their own parameter list search that
-	// space against the named profile's hidden behaviour where names
-	// overlap; jobs without parameters use the profile's full space.
-	var model *simos.Model
-	switch job.OS {
-	case "linux":
-		model = simos.NewLinux(simos.DefaultLinuxOptions())
-	case "unikraft":
-		model = simos.NewUnikraft(1)
-	case "linux-riscv", "riscv":
-		model = simos.NewRiscv(simos.DefaultRiscvOptions())
-	default:
-		fatal(fmt.Errorf("unknown os %q (linux|unikraft|linux-riscv)", job.OS))
-	}
-	for _, class := range slices.Sorted(maps.Keys(job.Favor)) {
-		cl, err := configspace.ParseClass(class)
-		if err != nil {
-			fatal(err)
-		}
-		model.Space.Favor(cl, job.Favor[class])
-	}
-	for _, name := range slices.Sorted(maps.Keys(job.Fixed)) {
-		raw := job.Fixed[name]
-		p, _ := model.Space.Lookup(name)
-		if p == nil {
-			fatal(fmt.Errorf("fixed parameter %q not in the %s space", name, job.OS))
-		}
-		v, err := p.ParseValue(raw)
-		if err != nil {
-			fatal(err)
-		}
-		if err := model.Space.Fix(name, v); err != nil {
-			fatal(err)
-		}
-	}
-
-	appName := job.App
-	if appName == "" {
-		appName = "nginx"
-	}
-	app, err := apps.ByName(appName)
-	if err != nil {
-		fatal(err)
-	}
-
-	var metric core.Metric
-	switch job.Metric {
-	case "throughput", "latency", "performance", "":
-		metric = &core.PerfMetric{App: app}
-	case "memory":
-		metric = core.MemoryMetric{}
-	case "score":
-		metric = &core.ScoreMetric{}
-	default:
-		fatal(fmt.Errorf("unknown metric %q", job.Metric))
-	}
-
-	var s search.Searcher
-	switch *strategy {
-	case "random":
-		s = search.NewRandom(model.Space, *seed)
-	case "grid":
-		s = search.NewGrid(model.Space)
-	case "bayesian":
-		b := search.NewBayesian(model.Space, metric.Maximize(), *seed)
-		b.SetSurrogateRefit(*gpRefit)
-		s = b
-	case "deeptune":
-		cfg := deeptune.DefaultConfig()
-		cfg.Seed = *seed
-		s = search.NewDeepTune(model.Space, metric.Maximize(), cfg)
-	case "unicorn":
-		s = search.NewUnicorn(model.Space, metric.Maximize(), *seed)
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
-
-	opts := core.Options{
-		Iterations:    job.Iterations,
-		TimeBudgetSec: job.TimeBudgetSec,
-		Seed:          *seed,
-		Workers:       *workers,
-		Hosts:         *hosts,
-		DisableCache:  *noCache,
-	}
-	opts.SurrogateWindow = *gpWindow
-	opts.Dispatch = *dispatch
-	if sched, err := fault.Parse(*faults); err != nil {
-		fatal(err)
-	} else {
-		opts.Faults = sched
-	}
-	if *async {
-		opts.Async = true
-		opts.Staleness = *staleness
-	}
+	spec := startSpec(loadJob(fs.Arg(0)), flags)
 	if *workers <= 1 && (*async || *straggler > 1) {
 		fmt.Fprintln(os.Stderr, "wfctl: -async/-staleness/-straggler need -workers > 1; running sequentially")
 	}
-	if *straggler > 1 && *workers > 1 {
-		opts.WorkerSpeedFactors = core.StragglerFleet(*workers, *straggler)
+	var observer func(core.Event)
+	if *progress {
+		observer = renderProgress
 	}
-	if *iters > 0 {
-		opts.Iterations = *iters
-	}
-	if opts.Iterations == 0 && opts.TimeBudgetSec == 0 { //wfvet:ignore floateq 0 is the unset-flag sentinel, never a computed value
-		opts.Iterations = 100
-	}
-	// The centralized option validation every entry point shares; flag
-	// combinations that escaped the flag-level checks (hosts > workers,
-	// hosts with -no-cache, ...) die here with the same message a library
-	// caller gets.
-	if err := opts.Validate(); err != nil {
-		fatal(err)
-	}
-	var clock vm.Clock
-	eng := core.NewEngine(model, app, metric, s, &clock, *seed)
-	session, err := eng.NewSession(opts)
+	session, err := newStartSession(spec, *straggler, *gpRefit, observer)
 	if err != nil {
 		fatal(err)
-	}
-	if *progress {
-		session.AddObserver(renderProgress)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -323,17 +207,69 @@ func cmdStart(args []string) {
 	}
 }
 
-// startFlags carries the flag values checkStartFlags inspects.
+// startFlags carries the flag values checkStartFlags inspects and
+// startSpec folds into a job spec.
 type startFlags struct {
-	Workers   int
-	Async     bool
-	Staleness int
-	Hosts     int
-	GPRefit   bool
-	GPWindow  int
-	Strategy  string
-	Faults    string
-	Dispatch  string
+	Workers    int
+	Async      bool
+	Staleness  int
+	Hosts      int
+	GPRefit    bool
+	GPWindow   int
+	Strategy   string
+	Faults     string
+	Dispatch   string
+	Seed       uint64
+	Iterations int // -l override; 0 keeps the job file's budget
+	NoCache    bool
+}
+
+// startSpec describes a local run as the daemon's job spec: the job file
+// plus the flags that have a spec field. A job file with no budget at all
+// runs 100 iterations.
+func startSpec(job *configspace.Job, f startFlags) wfd.JobSpec {
+	spec := wfd.SpecFromJob(job)
+	spec.Searcher = f.Strategy
+	spec.Seed = f.Seed
+	if f.Iterations > 0 {
+		spec.Iterations = f.Iterations
+	}
+	if spec.Iterations == 0 && spec.TimeBudgetSec == 0 { //wfvet:ignore floateq 0 is the unset-field sentinel, never a computed value
+		spec.Iterations = 100
+	}
+	spec.Workers = f.Workers
+	spec.Hosts = f.Hosts
+	if f.Async {
+		spec.Async, spec.Staleness = true, f.Staleness
+	}
+	spec.DisableCache = f.NoCache
+	spec.SurrogateWindow = f.GPWindow
+	spec.FaultSchedule = f.Faults
+	spec.Dispatch = f.Dispatch
+	return spec
+}
+
+// newStartSession builds the spec's session through the daemon's
+// assembly, then applies the two knobs a journaled spec does not carry:
+// a straggler (the last of several workers slowed by the given factor)
+// and, for bayesian, full GP refits instead of incremental updates.
+func newStartSession(spec wfd.JobSpec, straggler float64, gpRefit bool, observer func(core.Event)) (*wayfinder.Session, error) {
+	model, app, metric, searcher, err := spec.Assemble()
+	if err != nil {
+		return nil, err
+	}
+	if b, ok := searcher.(*search.Bayesian); ok {
+		b.SetSurrogateRefit(gpRefit)
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		return nil, err
+	}
+	if straggler > 1 && opts.Workers > 1 {
+		opts.WorkerSpeedFactors = core.StragglerFleet(opts.Workers, straggler)
+	}
+	return wayfinder.New(model, app, wayfinder.WithMetric(metric), wayfinder.WithSearcher(searcher),
+		wayfinder.WithOptions(opts), wayfinder.WithObserver(observer))
 }
 
 // checkStartFlags rejects the flag combinations only the flag layer can

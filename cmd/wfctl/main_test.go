@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"wayfinder/internal/configspace"
+	"wayfinder/internal/wfd"
 )
 
 // TestCheckStartFlags pins the flag-layer validation: the combinations
@@ -46,6 +51,65 @@ func TestCheckStartFlags(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestStartMatchesDaemon: `wfctl start` builds its session from the same
+// job spec and assembly the daemon uses, so one spec gives byte-identical
+// canonical reports whether it runs locally or as a daemon job.
+func TestStartMatchesDaemon(t *testing.T) {
+	job, err := configspace.ParseJobYAML(`name: nginx-linux
+os: linux
+app: nginx
+metric: throughput
+maximize: true
+iterations: 16
+favor:
+  compile: 0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []startFlags{
+		{Strategy: "random", Seed: 3, Workers: 1, Hosts: 1},
+		{Strategy: "grid", Seed: 3, Workers: 4, Hosts: 2, Dispatch: "locality", Iterations: 12},
+		{Strategy: "bayesian", Seed: 5, Workers: 4, Hosts: 2, Async: true, Staleness: 1,
+			Faults: "down:1@150,up:1@500,buildfail:3#1,retry:3/15/2"},
+		{Strategy: "random", Seed: 7, Workers: 3, Hosts: 1, Async: true, Staleness: -1, NoCache: true},
+	}
+	d, err := wfd.New(wfd.Config{Steppers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	for _, f := range cases {
+		spec := startSpec(job, f)
+		sess, err := newStartSession(spec, 1, false, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", f, err)
+		}
+		rep, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%+v: %v", f, err)
+		}
+		local, err := wfd.CanonicalReportJSON(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := d.Submit(spec)
+		if err != nil {
+			t.Fatalf("%+v: submit: %v", f, err)
+		}
+		if err := d.WaitJob(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		served, err := d.ReportJSON(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(local, served) {
+			t.Errorf("%+v: wfctl start and wfd reports differ", f)
 		}
 	}
 }

@@ -117,8 +117,10 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 // subtree; anything else names one directory. Directories named
 // testdata or vendor, and hidden or underscore-prefixed ones, are
 // skipped during walks — testdata holds the analyzers' deliberately-
-// violating fixtures. Only directories containing .go files are
-// returned, sorted and deduplicated.
+// violating fixtures — and so is any directory below the walk root that
+// holds its own go.mod: a nested module is another module, which go's
+// own ./... does not enter either. Only directories containing .go files
+// are returned, sorted and deduplicated.
 func expand(cwd string, patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -176,6 +178,11 @@ func expand(cwd string, patterns []string) ([]string, error) {
 			if path != root && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return fs.SkipDir
+			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return fs.SkipDir
+				}
 			}
 			return add(path)
 		})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -134,5 +135,51 @@ func TestDefaultPatternIsRecursive(t *testing.T) {
 	_, implicit, _ := runIn(t, root)
 	if explicit != implicit {
 		t.Errorf("default run differs from ./...:\n%s\nvs:\n%s", implicit, explicit)
+	}
+}
+
+// TestRecursiveStopsAtNestedModule: ./... covers the module it starts in
+// and no module nested below it, as go's own ./... does — a directory
+// holding its own go.mod is a different module with its own rules.
+func TestRecursiveStopsAtNestedModule(t *testing.T) {
+	root := t.TempDir()
+	files := [][2]string{
+		{"go.mod", "module outer\n"},
+		{"a/a.go", "package a\n"},
+		{"inner/go.mod", "module inner\n"},
+		{"inner/b/b.go", "package b\n"},
+		{"inner/inner.go", "package inner\n"},
+		{"c/notmod/c.go", "package notmod\n"},
+		{"c/notmod/go.mod.x", "not a module file\n"},
+	}
+	for _, f := range files {
+		name, body := f[0], f[1]
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := expand(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dirs {
+		rel, _ := filepath.Rel(root, d)
+		got = append(got, filepath.ToSlash(rel))
+	}
+	if want := []string{"a", "c/notmod"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("./... expanded to %v, want %v", got, want)
+	}
+	// Naming the nested module's directory explicitly still reaches it.
+	dirs, err = expand(root, []string{"./inner/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != 2 {
+		t.Errorf("./inner/... expanded to %v, want the inner module's two packages", dirs)
 	}
 }

@@ -136,20 +136,24 @@ func (c *Config) OnlyBootOrRuntimeDiff(o *Config) bool {
 }
 
 // Hash returns a stable 64-bit fingerprint of the assignment, used for
-// deduplicating explored configurations.
+// deduplicating explored configurations: FNV-1a over each value's integer
+// (8 bytes, little-endian), its string and a 0 byte — hash/fnv's New64a
+// over those bytes, computed inline because searchers and the batch
+// protocol hash every proposal.
 func (c *Config) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
 	for _, v := range c.values {
 		u := uint64(v.I)
 		for b := 0; b < 8; b++ {
-			buf[b] = byte(u >> (8 * b))
+			h = (h ^ (u >> (8 * b) & 0xff)) * prime
 		}
-		h.Write(buf[:])
-		h.Write([]byte(v.S))
-		h.Write([]byte{0})
+		for i := 0; i < len(v.S); i++ {
+			h = (h ^ uint64(v.S[i])) * prime
+		}
+		h *= prime // the 0 terminator: h ^ 0 == h
 	}
-	return h.Sum64()
+	return h
 }
 
 // Stage-digest salts keep CompileKey, BootKey, and Hash trivially distinct

@@ -1,6 +1,8 @@
 package configspace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -287,5 +289,27 @@ func TestFromKVErrors(t *testing.T) {
 	}
 	if _, err := s.FromKV(map[string]string{"vm.swappiness": "9999"}); err == nil {
 		t.Fatal("out-of-domain value accepted")
+	}
+}
+
+// TestHashIsFNV1a pins Hash to hash/fnv's New64a over the documented byte
+// sequence: hashes feed dedup sets and checkpoints, so the inline
+// computation must never drift from the reference digest.
+func TestHashIsFNV1a(t *testing.T) {
+	s := testSpace(t)
+	r := rng.New(5)
+	for i := 0; i < 200; i++ {
+		c := s.Random(r)
+		ref := fnv.New64a()
+		var buf [8]byte
+		for _, v := range c.values {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
+			ref.Write(buf[:])
+			ref.Write([]byte(v.S))
+			ref.Write([]byte{0})
+		}
+		if got, want := c.Hash(), ref.Sum64(); got != want {
+			t.Fatalf("config %d: Hash %#x, FNV-1a reference %#x", i, got, want)
+		}
 	}
 }

@@ -1,45 +1,47 @@
-// Asynchronous bounded-staleness scheduler: the round-barrier worker pool
-// of parallel.go stalls all W workers on the round's slowest evaluation,
-// so one straggling build wastes W-1 workers' virtual time. This file
-// removes that barrier with an event-driven scheduler over the simulated
-// substrate: a virtual event queue ordered by (finish-time, worker-index)
-// hands the next proposal to a worker the moment its previous evaluation
-// completes.
+// The session scheduler: the §3.1 platform loop — propose, then build,
+// boot and measure on worker VMs, then observe — as one event-driven
+// scheduler over the simulated substrate. Every session runs through it;
+// one worker and the round barrier are settings of its staleness bound,
+// not separate loops. A virtual event queue ordered by (finish-time,
+// worker-index) hands the next proposal to a worker the moment its
+// previous evaluation completes, so one straggling build need not stall
+// the other W-1 workers.
 //
-// Determinism is preserved by the same discipline as the synchronous
-// scheduler, with one replacement rule:
+// Determinism is the design constraint — a session is a pure function of
+// its options, never of goroutine scheduling:
 //
 //  1. Private worker state — each worker owns its clock (merged by
-//     vm.WallClock), its rng stream (rng.WorkerSeed derivation), its speed
-//     factor, and its §3.1 skip digests. The shared artifact store is
-//     consulted by the coordinator only, at planning time (pipeline.go);
-//     worker goroutines touch nothing shared.
+//     vm.WallClock), its rng stream (rng.WorkerSeed derivation; worker 0
+//     keeps the seed's own stream), its speed factor, and its §3.1 skip
+//     digests. The shared artifact store is consulted by the coordinator
+//     only, at planning time (pipeline.go); worker goroutines touch
+//     nothing shared.
 //  2. Virtual-time dispatch — placement is dynamic (the next proposal
 //     goes to whichever worker frees first in *virtual* time), but the
 //     completion order is a pure function of virtual finish times with
-//     worker index as the tie-break, never of goroutine scheduling. The
-//     coordinator pops exactly one completion event per step, measures
-//     and Observes it, and refills workers through the same
-//     search.BatchSearcher pending-set protocol the round scheduler uses
+//     worker index as the tie-break. The coordinator pops exactly one
+//     completion event per step, measures and Observes it, and refills
+//     workers through the search.BatchSearcher pending-set protocol
 //     (natively for Grid/Bayesian/DeepTune, via the AsBatch adapter
-//     otherwise).
-//  3. Bounded staleness — Options.Staleness caps how many unobserved
-//     in-flight evaluations may exist when a proposal batch is drawn, so
-//     no proposal conditions on a history more than S evaluations behind
-//     the frontier. S=0 is the full barrier (handled by the round
-//     scheduler); S ≥ W-1 (or negative) is full asynchrony, since one
-//     evaluation per worker bounds in-flight work at W anyway.
+//     otherwise), so later slots of a batch condition on earlier picks.
+//  3. Bounded staleness — the effective bound S caps how many unobserved
+//     evaluations may exist when a proposal batch is drawn, so no
+//     proposal conditions on a history more than S evaluations behind.
+//     S ≥ W-1 is full asynchrony, since one evaluation per worker bounds
+//     in-flight work at W anyway. S = 0 — every one-worker session, and
+//     every multi-worker one without Options.Async or with Staleness 0 —
+//     is the round barrier: nothing is dispatched while an evaluation is
+//     unobserved, iteration i prefers worker i mod W, every worker stalls
+//     to the round's slowest evaluation (the wait is idle time), and the
+//     round is observed in iteration order.
 //
-// A session is therefore byte-reproducible for a fixed (Seed, Workers,
-// Staleness) triple, and the report's history is ordered by virtual
-// completion time — the order the searcher actually observed.
-//
-// The stepwise restructuring maps one-to-one onto the old loop body:
-// dispatch-refill, pop the earliest completion event, record. The loop's
-// locals (in-flight table, busy count, frontier, exhaustion) are now
-// Session fields, which is what makes an async session interruptible and
-// serializable between observations — in-flight evaluations are finished
-// virtual work awaiting observation, and snapshot as such.
+// The report's history is the order the searcher actually observed:
+// virtual completion order asynchronously, iteration order behind a
+// barrier. The loop's state (in-flight table, busy count, frontier,
+// exhaustion) lives in Session fields, which is what makes a session
+// interruptible and serializable between observations — in-flight
+// evaluations are finished virtual work awaiting observation, and
+// snapshot as such.
 //
 // Host-side concurrency note: evaluations within one dispatch batch run
 // on goroutines, but in the unbounded steady state a batch refills a
@@ -52,18 +54,28 @@
 package core
 
 import (
+	"slices"
+
 	"wayfinder/internal/configspace"
 )
 
-// stepAsync refills idle workers (staleness bound permitting), pops the
-// earliest completion event, and records it. Under a fault schedule a
+// roundSlot is one dispatch slot: a fresh proposal or the re-dispatch of a
+// fault-lost iteration.
+type roundSlot struct {
+	iter    int
+	attempt int
+	cfg     *configspace.Config
+}
+
+// step refills idle workers (staleness bound permitting), pops the
+// next completion event, and records it. Under a fault schedule a
 // dispatch may produce no in-flight work (everything killed, or the
 // session waiting out a backoff or a host outage with an advanced
 // frontier); the loop re-dispatches until an event exists or the
 // dispatcher reports no way to make progress.
-func (s *Session) stepAsync() bool {
+func (s *Session) step() bool {
 	for {
-		progressed := s.dispatchAsync()
+		progressed := s.dispatch()
 		if s.busy > 0 {
 			break
 		}
@@ -71,15 +83,17 @@ func (s *Session) stepAsync() bool {
 			return false
 		}
 	}
-	// Pop the earliest completion event: minimum virtual finish time,
-	// lowest worker index on ties. Strict < keeps the first (lowest index)
-	// candidate on equal finish times.
+	// Pop the next completion event. Asynchronously that is the earliest
+	// virtual finish, lowest worker index on ties (strict < keeps the
+	// first candidate); behind a barrier every evaluation of the round has
+	// finished, so the round drains in iteration order.
 	sel := -1
 	for i, ev := range s.inflight {
 		if ev == nil {
 			continue
 		}
-		if sel < 0 || ev.res.EndSec < s.inflight[sel].res.EndSec {
+		if sel < 0 || s.staleBound == 0 && ev.iter < s.inflight[sel].iter ||
+			s.staleBound > 0 && ev.res.EndSec < s.inflight[sel].res.EndSec {
 			sel = i
 		}
 	}
@@ -93,32 +107,40 @@ func (s *Session) stepAsync() bool {
 	if !res.Crashed {
 		// The worker is quiescent between completion and observation, so
 		// its noise stream sits exactly past this evaluation's stage
-		// jitters — the same position the round scheduler measures from.
+		// jitters.
 		res.Metric = s.eng.Metric.Measure(s.eng.Model, s.eng.App, ev.cfg, s.workers[sel].noise)
 	}
 	s.record(res)
 	return true
 }
 
-// dispatchAsync refills every idle worker that still has budget, provided
+// dispatch refills every idle worker that still has budget, provided
 // the staleness bound admits a new proposal batch: drawing now means each
 // proposal lags exactly `busy` unobserved evaluations. Workers evaluate
 // concurrently (their state is private), and the coordinator joins them
 // before touching any clock or result.
 //
-// frontier is the virtual time of the latest observation — the moment the
-// current dispatch decision became possible. A refilled worker whose
-// clock lags it (it sat out waiting for the staleness bound) stalls
-// forward to the frontier, so no evaluation starts before the observation
-// that admitted it and the wait is charged as idle time.
+// frontier is the virtual decision time — the moment the current dispatch
+// decision became possible. A refilled worker whose clock lags it (it sat
+// out waiting for the staleness bound) stalls forward to the frontier, so
+// no evaluation starts before the observation that admitted it and the
+// wait is charged as idle time. Behind a barrier (bound 0) nothing is
+// dispatched while any evaluation is unobserved, a slot prefers worker
+// iter mod W, and after each dispatch every worker stalls to the round's
+// slowest evaluation, which becomes the frontier.
 // It reports whether it made progress — dispatched work, or advanced the
 // frontier over dead air (a backoff deadline or a host outage with no
-// event to pop) — so stepAsync knows when the session truly cannot move.
-func (s *Session) dispatchAsync() bool {
+// event to pop) — so step knows when the session truly cannot move.
+func (s *Session) dispatch() bool {
+	barrier := s.staleBound == 0
+	if barrier && s.busy > 0 {
+		return false // the round is still draining
+	}
 	e, o := s.eng, &s.opts
 	s.advanceFaults(s.frontier)
 	w := len(s.workers)
 	idle := make([]int, 0, w)
+	revival, revives := 0.0, false
 	for i, ev := range s.inflight {
 		if ev != nil {
 			continue
@@ -132,6 +154,9 @@ func (s *Session) dispatchAsync() bool {
 			start = s.frontier
 		}
 		if !s.workerLive(i, start) {
+			if at, up := o.Faults.NextUpAt(s.workers[i].host, start); up && (!revives || at < revival) {
+				revival, revives = at, true
+			}
 			continue
 		}
 		if o.TimeBudgetSec > 0 && start >= o.TimeBudgetSec {
@@ -178,35 +203,50 @@ func (s *Session) dispatchAsync() bool {
 		if s.busy > 0 {
 			return false // an event is pending; popping it advances the frontier
 		}
+		if barrier && o.TimeBudgetSec > 0 && s.frontier >= o.TimeBudgetSec {
+			return false // no round can start within the budget any more
+		}
 		// Idle session: jump the frontier to the next actionable instant —
-		// the earliest backoff deadline or host revival strictly ahead.
+		// the earliest backoff deadline strictly ahead, or the earliest
+		// moment a downed worker's host comes back, whichever is sooner.
+		// Behind a barrier, a fleet with no live worker waits only for a
+		// revival, and one with live workers only for a deadline.
 		target, ok := 0.0, false
-		if at, has := s.earliestRetry(); has && at > s.frontier {
+		if at, has := s.earliestRetry(); has && at > s.frontier && (!barrier || len(idle) > 0) {
 			target, ok = at, true
 		}
-		if at, has := s.nextRevival(s.frontier); has && at > s.frontier && (!ok || at < target) {
-			target, ok = at, true
+		if revives && (!barrier || len(idle) == 0) && (!ok || revival < target) {
+			target, ok = revival, true
 		}
-		if ok {
-			s.frontier = target
-			return true
+		if !ok {
+			return false
 		}
-		return false
+		s.frontier = target
+		if barrier {
+			// A round waits dead air out on the clocks: the whole fleet
+			// over an outage, the live workers over a backoff.
+			for i := range s.workers {
+				if len(idle) == 0 || slices.Contains(idle, i) {
+					s.wall.Stall(i, target)
+				}
+			}
+		}
+		return true
 	}
 	// Plan builds in dispatch order (coordinator-only store access,
 	// pipeline.go), then execute the batch. An in-flight build from an
 	// earlier dispatch is already resolved — its goroutines joined before
 	// this dispatch — so an awaiter planned here reads a settled ticket;
 	// same-batch duplicates run in runBatch's second wave. Placement draws
-	// from the idle live workers (ascending index statically; the locality
-	// policy may reorder to chase image digests).
+	// from the idle live workers (the locality policy may reorder to chase
+	// image digests).
 	avail := make([]bool, w)
 	for _, i := range idle {
 		avail[i] = true
 	}
 	batch := make([]*batchEval, 0, len(slots))
 	for _, sl := range slots {
-		wi := s.placeSlot(avail, sl.iter, sl.cfg, false)
+		wi := s.placeSlot(avail, sl.iter, sl.cfg, barrier)
 		if wi < 0 {
 			break
 		}
@@ -223,6 +263,20 @@ func (s *Session) dispatchAsync() bool {
 	for _, ev := range s.resolveFaults(batch) {
 		s.inflight[ev.st.worker] = ev
 		s.busy++
+	}
+	if barrier {
+		// Every worker waits for the round's slowest evaluation (killed
+		// evaluations were already rolled back to their kill instant, so
+		// they no longer push the maximum); the wait is idle time, and
+		// the next round is decided at the barrier.
+		s.frontier = s.wall.Now()
+		for i := 0; i < w; i++ {
+			s.wall.Stall(i, s.frontier)
+		}
+		s.round++
+		if w > 1 {
+			s.emit(RoundBarrier{Round: s.round, Size: len(batch), WallSec: s.frontier})
+		}
 	}
 	return true
 }

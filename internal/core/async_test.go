@@ -49,7 +49,8 @@ func TestAsyncDeterministicAcrossRuns(t *testing.T) {
 
 func TestAsyncStalenessZeroMatchesSync(t *testing.T) {
 	// Staleness 0 means every proposal batch must see a fully-observed
-	// history — the synchronous round scheduler exactly, report included.
+	// history — the round barrier exactly, report included, and the
+	// report does not call the session async.
 	for _, kind := range []string{"random", "bayesian"} {
 		iters := 40
 		if kind == "bayesian" {
@@ -57,33 +58,36 @@ func TestAsyncStalenessZeroMatchesSync(t *testing.T) {
 		}
 		sync := parallelRun(t, kind, 42, Options{Iterations: iters, Seed: 42, Workers: 8})
 		async := asyncRun(t, kind, 42, Options{Iterations: iters, Seed: 42, Workers: 8, Async: true, Staleness: 0})
+		if async.Async || async.Staleness != 0 {
+			t.Fatalf("%s: staleness-0 report says Async=%v Staleness=%d", kind, async.Async, async.Staleness)
+		}
 		if canonicalJSON(t, sync) != canonicalJSON(t, async) {
 			t.Fatalf("%s: Async with Staleness=0 diverged from the synchronous engine", kind)
 		}
+	}
+	// Across hosts, with locality dispatch and under every fault setting,
+	// it keeps the round barrier's pinned digests.
+	for _, fault := range []string{"none", "churn", "outage"} {
+		checkPinned(t, "random/round-w8-h4-locality/"+fault, "random", fault,
+			Options{Workers: 8, Hosts: 4, Dispatch: DispatchLocality, Async: true, Staleness: 0})
 	}
 }
 
 func TestAsyncWorkerOneMatchesSequential(t *testing.T) {
 	// One async worker degenerates to propose-evaluate-observe on worker
-	// 0's stream — the sequential engine, up to the scheduler self-id
-	// fields the report carries.
+	// 0's stream: whatever its staleness, it reproduces the one-worker
+	// session's pinned digests (the sequential loop's), and its report
+	// does not call the session async.
 	for _, kind := range []string{"random", "grid", "bayesian"} {
-		m := smallLinux(t)
-		app := apps.Nginx()
-		seqEng := NewEngine(m, app, &PerfMetric{App: app}, newSearcher(m, kind, 42), &vm.Clock{}, 42)
-		seq, err := seqEng.Run(Options{Iterations: 40, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2 := smallLinux(t)
-		asyncEng := NewEngine(m2, app, &PerfMetric{App: app}, newSearcher(m2, kind, 42), &vm.Clock{}, 42)
-		async, err := asyncEng.runAsync(Options{Iterations: 40, Seed: 42, Workers: 1, Async: true, Staleness: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		async.Async = false // the only legitimate difference
-		if canonicalJSON(t, seq) != canonicalJSON(t, async) {
-			t.Fatalf("%s: one-worker async session diverged from the sequential engine", kind)
+		for _, fault := range []string{"none", "churn"} {
+			for _, staleness := range []int{-1, 2} {
+				rep := checkPinned(t, kind+"/w1/"+fault, kind, fault,
+					Options{Workers: 1, Async: true, Staleness: staleness})
+				if rep.Async || rep.Staleness != 0 {
+					t.Fatalf("%s/%s: one-worker report says Async=%v Staleness=%d",
+						kind, fault, rep.Async, rep.Staleness)
+				}
+			}
 		}
 	}
 }
@@ -375,6 +379,26 @@ func TestAsyncNoDuplicateConfigsInFlight(t *testing.T) {
 				t.Fatalf("iterations %d and %d evaluated the same configuration within one in-flight window", prev, i)
 			}
 			seen[h] = i
+		}
+	}
+}
+
+// TestAsyncWholeFleetOutageRecovers: every host going down at once, after
+// an earlier preemption, must pause an async session until a host comes
+// back, not end it. The idle-session jump used to look for a revival at
+// the frontier, which still sat before the outage while every idle
+// worker's clock was already inside it; it found none, and the session
+// ended having recorded nothing.
+func TestAsyncWholeFleetOutageRecovers(t *testing.T) {
+	for _, stale := range []int{-1, 2} {
+		opts := Options{Iterations: 30, Seed: 5, Workers: 8, Hosts: 2, Async: true, Staleness: stale,
+			Faults: mustSchedule(t, "down:0@100,down:1@100,up:0@400,up:1@450,preempt:2@50,retry:4/30/2")}
+		for _, kind := range []string{"random", "grid"} {
+			rep := asyncRun(t, kind, 5, opts)
+			if len(rep.History) != 30 || rep.LostObservations != 0 {
+				t.Errorf("%s, staleness %d: %d of 30 observations recorded, %d lost",
+					kind, stale, len(rep.History), rep.LostObservations)
+			}
 		}
 	}
 }

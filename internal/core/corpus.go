@@ -1,5 +1,5 @@
 // Corpus plumbing for the Session state machine: warm-start resolution at
-// construction, seed injection bookkeeping (the schedulers consume
+// construction, seed injection bookkeeping (the scheduler consumes
 // s.seeds ahead of searcher proposals), and deposit-on-done. The corpus
 // itself lives in internal/corpus; this file is the session-side contract:
 //

@@ -35,7 +35,7 @@ func seedCorpus(t testing.TB, st *corpus.Store, app, kind string, seed uint64, i
 // TestCorpusEmptyGolden: a session given an empty corpus (with warm
 // starting requested) must be byte-identical to a session with no corpus
 // at all — pinned to the very hashes TestEmptyScheduleGolden pins the
-// corpusless engine to, on all three schedulers.
+// corpusless engine to, for one worker, a round barrier and async.
 func TestCorpusEmptyGolden(t *testing.T) {
 	cases := []struct {
 		name string

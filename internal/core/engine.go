@@ -31,28 +31,28 @@ type Options struct {
 	// configuration).
 	WarmStart bool
 	// Workers is the number of concurrent evaluators (§3.1's parallel
-	// worker VMs). 0 or 1 preserves the sequential engine exactly; W > 1
-	// evaluates W configurations concurrently per round, with per-worker
-	// virtual clocks merged into a wall-clock (max over workers) and
-	// deterministic per-worker noise streams, so a session is reproducible
-	// for a fixed (Seed, Workers) pair.
+	// worker VMs; 0 means 1). Each worker has its own virtual clock,
+	// merged into a wall-clock (max over workers), and its own
+	// deterministic noise stream, so a session is reproducible for a fixed
+	// (Seed, Workers) pair. Without Async, W workers run in rounds of up
+	// to W evaluations separated by a barrier: every worker waits for the
+	// round's slowest evaluation, and the round is observed in iteration
+	// order.
 	Workers int
-	// Async replaces the round-barrier worker pool with the event-driven
-	// asynchronous scheduler: a virtual event queue ordered by
-	// (finish-time, worker-index) refills each worker the moment its
-	// previous evaluation completes, so one slow build no longer stalls
-	// the whole pool. Dispatch order is a pure function of virtual finish
-	// times, never goroutine scheduling, so sessions stay byte-reproducible
-	// for a fixed (Seed, Workers, Staleness) triple. Only meaningful with
-	// Workers > 1.
+	// Async lifts the round barrier: the scheduler refills each worker the
+	// moment its previous evaluation completes (in virtual time, ordered
+	// by (finish-time, worker-index)), so one slow build no longer stalls
+	// the whole pool, bounded by Staleness. Dispatch order is a pure
+	// function of virtual finish times, never goroutine scheduling, so
+	// sessions stay byte-reproducible for a fixed (Seed, Workers,
+	// Staleness) triple. Only meaningful with Workers > 1.
 	Async bool
 	// Staleness bounds the asynchrony: a proposal may be drawn only while
 	// at most Staleness already-dispatched evaluations remain unobserved,
 	// so no proposal conditions on a history more than Staleness
-	// evaluations behind the frontier. 0 degenerates to the synchronous
-	// round scheduler (every proposal batch sees a fully-observed
-	// history); negative (or ≥ Workers-1) means unbounded — full
-	// asynchrony. Ignored unless Async is set.
+	// evaluations behind. 0 keeps the round barrier (every proposal batch
+	// sees a fully-observed history); negative (or ≥ Workers-1) means
+	// unbounded — full asynchrony. Ignored unless Async is set.
 	Staleness int
 	// WorkerSpeedFactors models heterogeneous worker hardware: the virtual
 	// duration of every task (build, boot, benchmark) on worker i is
@@ -177,7 +177,8 @@ func (o *Options) Validate() error {
 // Dispatch policy names (Options.Dispatch).
 const (
 	// DispatchStatic is the historical placement: iteration i prefers
-	// worker i mod W (round scheduler) or the first idle worker (async).
+	// worker i mod W behind a round barrier, the first idle worker
+	// asynchronously.
 	DispatchStatic = "static"
 	// DispatchLocality prefers a live worker already holding the image —
 	// its own disk first, then a worker whose host store has the digest —
@@ -185,7 +186,7 @@ const (
 	DispatchLocality = "locality"
 )
 
-// effWorkers returns the effective worker count (sequential = 1).
+// effWorkers returns the effective worker count (at least 1).
 func (o *Options) effWorkers() int {
 	if o.Workers < 1 {
 		return 1
@@ -269,10 +270,10 @@ type Result struct {
 	// partition, paying the cross-host transfer term.
 	CacheRemote bool `json:"cache_remote,omitempty"`
 	// StartSec/EndSec are virtual timestamps on the evaluating worker's
-	// clock (in a sequential session, the session clock).
+	// clock.
 	StartSec float64 `json:"start_sec"`
 	EndSec   float64 `json:"end_sec"`
-	// Worker is the evaluating worker's index (always 0 sequentially).
+	// Worker is the evaluating worker's index (always 0 with one worker).
 	Worker int `json:"worker"`
 	// Host is the simulated host the evaluating worker belongs to.
 	Host int `json:"host"`
@@ -310,24 +311,25 @@ type Report struct {
 	BestTimeSec float64 `json:"best_time_sec"`
 	// Crashes is the total crash count.
 	Crashes int `json:"crashes"`
-	// ElapsedSec is the session's virtual wall-clock duration: with
-	// parallel workers, the maximum over per-worker clocks.
+	// ElapsedSec is the session's virtual wall-clock position: the
+	// maximum over per-worker clocks.
 	ElapsedSec float64 `json:"elapsed_sec"`
 	// ComputeSec is the aggregate virtual compute time summed over
-	// workers — the cost-accounting figure. Equals the session's clock
-	// advance for a sequential run.
+	// workers — the cost-accounting figure. With one worker that never
+	// waits, it is the session's clock advance.
 	ComputeSec float64 `json:"compute_sec"`
 	// IdleSec is the aggregate virtual idle time summed over workers: the
 	// wall-clock wasted waiting (round barriers behind a straggler, the
-	// end-of-session drain) rather than evaluating. Always 0 sequentially.
+	// end-of-session drain, backoff and outage waits) rather than
+	// evaluating.
 	IdleSec float64 `json:"idle_sec"`
 	// Utilization is ComputeSec / (ComputeSec + IdleSec) — the fraction of
 	// worker-time spent evaluating.
 	Utilization float64 `json:"utilization"`
 	// Workers is the worker count the session ran with.
 	Workers int `json:"workers"`
-	// Async reports whether the event-driven asynchronous scheduler ran
-	// the session (false for sequential and round-barrier sessions).
+	// Async reports whether the session ran without a round barrier
+	// (Options.Async with more than one worker and a non-zero staleness).
 	Async bool `json:"async,omitempty"`
 	// Staleness is the effective staleness bound of an async session: the
 	// maximum number of unobserved in-flight evaluations a proposal may
@@ -526,8 +528,8 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*alias)(&cp))
 }
 
-// noiseSalt decorrelates the engine's measurement-noise stream from other
-// consumers of the session seed.
+// noiseSalt decorrelates the workers' measurement-noise streams from
+// other consumers of the session seed.
 const noiseSalt = 0xe7617e
 
 // Engine runs search sessions against a simulated OS model.
@@ -538,9 +540,8 @@ type Engine struct {
 	Searcher search.Searcher
 	Clock    *vm.Clock
 
-	enc   *configspace.Encoder
-	noise *rng.RNG
-	seed  uint64
+	enc  *configspace.Encoder
+	seed uint64
 }
 
 // NewEngine assembles an engine. The clock may be shared across engines
@@ -553,7 +554,6 @@ func NewEngine(model *simos.Model, app *simos.App, metric Metric, s search.Searc
 		Searcher: s,
 		Clock:    clock,
 		enc:      configspace.NewEncoder(model.Space),
-		noise:    rng.New(seed ^ noiseSalt),
 		seed:     seed,
 	}
 }
@@ -568,10 +568,9 @@ type evalState struct {
 	worker int
 	host   int
 	clock  *vm.Clock
-	// wall is the session wall-clock in parallel/async sessions (nil
-	// sequentially); the build stage stalls against it while waiting on
-	// another worker's in-flight build, so the wait is charged as idle
-	// time. Stall touches only this worker's slice of the wall-clock, so
+	// wall is the session wall-clock; the build stage stalls against it
+	// while waiting on another worker's in-flight build, so the wait is
+	// charged as idle time. Stall touches only this worker's slice of the wall-clock, so
 	// concurrent evaluations stay race-free.
 	wall  *vm.WallClock
 	noise *rng.RNG
@@ -604,10 +603,9 @@ func (st *evalState) jitter(base, frac float64) float64 {
 
 // Run executes the core loop of §3.1: 1) build and boot an image for the
 // proposed configuration, 2) benchmark the application, 3) ask the search
-// algorithm for the next configuration — until the budget is exhausted.
-// With Options.Workers > 1 the loop is executed by the round-barrier
-// worker-pool scheduler, or — with Options.Async and a non-zero staleness
-// bound — by the event-driven asynchronous scheduler.
+// algorithm for the next configuration — until the budget is exhausted,
+// on Options.Workers workers, in barrier rounds or (Options.Async)
+// asynchronously.
 //
 // Run is the blocking convenience wrapper over the stepwise Session state
 // machine (session.go); callers that need to observe, interleave, cancel,
@@ -618,17 +616,6 @@ func (e *Engine) Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	return s.Run(context.Background())
-}
-
-// runParallel forces the round-barrier scheduler regardless of the worker
-// count — the W=1 ≡ sequential equivalence tests' entry point.
-func (e *Engine) runParallel(opts Options) (*Report, error) {
-	return e.newSession(opts, modeRound).Run(context.Background())
-}
-
-// runAsync forces the event-driven asynchronous scheduler.
-func (e *Engine) runAsync(opts Options) (*Report, error) {
-	return e.newSession(opts, modeAsync).Run(context.Background())
 }
 
 // newReport initializes a report's session-constant fields.
@@ -643,10 +630,8 @@ func (e *Engine) newReport(opts Options, workers int) *Report {
 	}
 }
 
-// evaluate — the staged Build → Boot → Measure pipeline every scheduler
-// (sequential, round-barrier, async) runs one configuration through —
-// lives in pipeline.go, together with the coordinator-side build planning
-// that consults the shared artifact store. The schedulers themselves are
-// the Session state machine: session.go holds the shared stepwise loop and
-// the sequential scheduler, parallel.go the round-barrier scheduler,
-// async.go the bounded-staleness scheduler.
+// evaluate — the staged Build → Boot → Measure pipeline every evaluation
+// runs through — lives in pipeline.go, together with the coordinator-side
+// build planning that consults the shared artifact store. The scheduler
+// is the Session state machine: session.go holds the stepwise lifecycle
+// and the shared record path, async.go the dispatch and completion loop.

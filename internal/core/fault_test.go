@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 
 	"wayfinder/internal/apps"
@@ -32,10 +33,11 @@ func reportHash(t *testing.T, rep *Report) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestEmptyScheduleGolden pins the fault-free output of all three
-// schedulers to digests captured before the fault runtime existed: the
-// empty schedule (and the nil Faults default) must reproduce the
-// pre-fault engine byte-for-byte, scheduler loops included.
+// TestEmptyScheduleGolden pins the fault-free output of one worker, a
+// round barrier and async to digests captured before the fault runtime
+// existed (and when each ran its own scheduler loop): the empty schedule
+// (and the nil Faults default) must reproduce the pre-fault engine
+// byte-for-byte.
 func TestEmptyScheduleGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -404,5 +406,23 @@ func TestOptionsValidateFaults(t *testing.T) {
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestOneWorkerBackoffWaitIsIdle: a one-worker session with nothing left
+// to dispatch but a retry still in backoff waits it out as idle time, as
+// a multi-worker session does: the wait moves ElapsedSec and IdleSec, not
+// ComputeSec.
+func TestOneWorkerBackoffWaitIsIdle(t *testing.T) {
+	opts := Options{Iterations: 20, Seed: 3, Faults: mustSchedule(t, "bootfail:19#1,retry:3/15/2")}
+	rep := parallelRun(t, "random", 3, opts)
+	if len(rep.History) != 20 || rep.Retries != 1 {
+		t.Fatalf("%d observations, %d retries; want 20 and 1", len(rep.History), rep.Retries)
+	}
+	if math.Abs(rep.IdleSec-15) > 1e-9 {
+		t.Errorf("idle %.6fs, want the 15s backoff", rep.IdleSec)
+	}
+	if d := rep.ElapsedSec - rep.ComputeSec - rep.IdleSec; math.Abs(d) > 1e-9 {
+		t.Errorf("elapsed %.6f ≠ compute %.6f + idle %.6f", rep.ElapsedSec, rep.ComputeSec, rep.IdleSec)
 	}
 }

@@ -1,7 +1,5 @@
-// Staged evaluation pipeline: every scheduler — sequential, round-barrier
-// worker pool, async bounded-staleness — runs a configuration through the
-// same three explicit stages (Build → Boot → Measure) instead of the old
-// monolithic evaluate. The build stage is where the §3.1 image reuse
+// Staged evaluation pipeline: every evaluation runs through the same three
+// explicit stages (Build → Boot → Measure). The build stage is where the §3.1 image reuse
 // generalizes from "my previous image" to a fleet-wide content-addressed
 // cache:
 //
@@ -206,9 +204,7 @@ func (e *Engine) stageBuild(res *Result, st *evalState, plan evalPlan, stage sim
 		// this worker's wall-clock slice, so concurrent awaiters race on
 		// nothing.
 		t := plan.ticket
-		if st.wall != nil {
-			st.wall.Stall(st.worker, t.endSec)
-		}
+		st.wall.Stall(st.worker, t.endSec)
 		if t.ok {
 			remote := plan.action == buildAwaitRemote
 			e.chargeFetch(st, remote)
@@ -353,6 +349,13 @@ type batchEval struct {
 // unless its builder crashed, and then only from its own resources — so
 // two waves always suffice.
 func (e *Engine) runBatch(evals []*batchEval) {
+	if len(evals) == 1 {
+		// Nothing to overlap: evaluate on the coordinator instead of
+		// paying a goroutine handoff for every one-worker observation.
+		ev := evals[0]
+		ev.res = e.evaluate(ev.iter, ev.cfg, ev.st, ev.plan)
+		return
+	}
 	var wg sync.WaitGroup
 	run := func(ev *batchEval) {
 		defer wg.Done()

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -490,6 +492,45 @@ func TestResultConfigRoundTrip(t *testing.T) {
 		}
 		if cfg.CompileKey() != orig.CompileKey() || cfg.BootKey() != orig.BootKey() || cfg.Hash() != orig.Hash() {
 			t.Fatalf("history[%d]: digests diverged after round trip", i)
+		}
+	}
+}
+
+// TestLegacySnapshotsResume: journals written when one-worker and
+// round-barrier sessions still ran their own scheduler loops (snapshot
+// modes 0 and 1, taken after 9 observations with a retry queued and, for
+// the round, an evaluation still buffered) resume under the event-driven
+// scheduler to the final reports those loops produced.
+func TestLegacySnapshotsResume(t *testing.T) {
+	cases := []struct {
+		file, kind string
+		want       string
+	}{
+		{"snapshot_mode0.json", "bayesian", "e9c16f7fea97391a0dd8cdffa60ea2fdcbbf5a822d0909dcd8638884236f9d33"},
+		{"snapshot_mode1.json", "random", "6908271cdd16f01879fdd5cabc05288a0183c2593d49362478b4224478054962"},
+	}
+	for _, c := range cases {
+		data, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := newSessionEngine(t, c.kind, 9)
+		sess, err := eng.RestoreSession(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if sess.Observed() != 9 {
+			t.Fatalf("%s: resumed at observation %d, want 9", c.file, sess.Observed())
+		}
+		rep, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if got := reportHash(t, rep); got != c.want {
+			t.Errorf("%s: resumed report hash %s, want %s", c.file, got, c.want)
+		}
+		if now := eng.Clock.Now(); now != rep.ElapsedSec {
+			t.Errorf("%s: engine clock at %v, report elapsed %v", c.file, now, rep.ElapsedSec)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Session serialization: Snapshot captures the state machine's complete
 // state — options, report, worker clocks and RNG streams, artifact-store
-// contents and in-flight build tickets, undelivered scheduler buffers, the
+// contents and in-flight build tickets, unobserved evaluations, the
 // searcher's checkpoint (search.Checkpointable), and any stateful metric —
 // and RestoreSession rebuilds a Session that continues byte-identically to
 // the uninterrupted run. Snapshots are taken between steps (any
-// observation boundary, including mid-round: a buffered round is finished
-// virtual work, and serializes as such).
+// observation boundary, including mid-round: an unobserved evaluation is
+// finished virtual work, and serializes as such).
 //
 // The format is JSON for inspectability; exactness is preserved because
 // Go's JSON round-trips float64 (shortest-representation encoding) and
@@ -27,6 +27,18 @@ import (
 
 // snapshotVersion guards the serialization format.
 const snapshotVersion = 1
+
+// Snapshot scheduler tags. Every session runs the event-driven scheduler
+// and snapshots as modeEvent. Journals from versions that ran one-worker
+// and round-barrier sessions in loops of their own carry modeSequential
+// (one worker on the engine clock, nothing pending) or modeRound (pending
+// evaluations in Buffer, in iteration order); they restore as the
+// equivalent event-driven state.
+const (
+	modeSequential = iota
+	modeRound
+	modeEvent
+)
 
 // workerSnap is one worker's serialized evaluation state.
 type workerSnap struct {
@@ -56,8 +68,7 @@ type cacheSnap struct {
 	Building []ticketSnap    `json:"building,omitempty"`
 }
 
-// evalSnap is one evaluated-but-unrecorded evaluation (a buffered round
-// slot or an async in-flight completion event).
+// evalSnap is one evaluated-but-unrecorded evaluation.
 type evalSnap struct {
 	Iter   int    `json:"iter"`
 	Worker int    `json:"worker"`
@@ -109,8 +120,8 @@ type sessionSnapshot struct {
 	Workers []workerSnap `json:"workers"`
 	Cache   *cacheSnap   `json:"cache,omitempty"`
 
-	// Buffer is the round scheduler's undrained results; Inflight the
-	// async scheduler's per-worker unobserved completions (null = idle).
+	// Inflight is the per-worker unobserved evaluations (null = idle);
+	// Buffer is the undrained round of a modeRound snapshot (read only).
 	Buffer   []evalSnap  `json:"buffer,omitempty"`
 	Inflight []*evalSnap `json:"inflight,omitempty"`
 
@@ -163,7 +174,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	snap := sessionSnapshot{
 		Version:       snapshotVersion,
-		Mode:          int(s.mode),
+		Mode:          modeEvent,
 		Options:       s.opts,
 		SearcherName:  s.eng.Searcher.Name(),
 		MetricName:    s.eng.Metric.Name(),
@@ -190,8 +201,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 	snap.WarmDTM = json.RawMessage(s.warmDTM)
 	snap.Workers = make([]workerSnap, len(s.workers))
 	for i, st := range s.workers {
-		ws := workerSnap{
+		snap.Workers[i] = workerSnap{
 			ClockSec:  st.clock.Now(),
+			StallSec:  s.wall.WorkerStallSec(i),
 			RNG:       st.noise.State(),
 			ImageKey:  st.imageKey,
 			HaveImage: st.haveImage,
@@ -199,10 +211,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 			HaveBoot:  st.haveBoot,
 			Builds:    st.builds,
 		}
-		if s.wall != nil {
-			ws.StallSec = s.wall.WorkerStallSec(i)
-		}
-		snap.Workers[i] = ws
 	}
 	if c := s.cache; c != nil && c.store != nil {
 		cs := &cacheSnap{Store: c.store.Snapshot()}
@@ -217,19 +225,14 @@ func (s *Session) Snapshot() ([]byte, error) {
 		}
 		snap.Cache = cs
 	}
-	for _, ev := range s.buf {
-		snap.Buffer = append(snap.Buffer, s.snapEval(ev))
-	}
-	if s.mode == modeAsync {
-		snap.Inflight = make([]*evalSnap, len(s.inflight))
-		for i, ev := range s.inflight {
-			if ev != nil {
-				es := s.snapEval(ev)
-				snap.Inflight[i] = &es
-			}
+	snap.Inflight = make([]*evalSnap, len(s.inflight))
+	for i, ev := range s.inflight {
+		if ev != nil {
+			es := s.snapEval(ev)
+			snap.Inflight[i] = &es
 		}
 	}
-	if pc, ok := s.recorder.(pendingCheckpointer); ok {
+	if pc, ok := s.batcher.(pendingCheckpointer); ok {
 		if pending := pc.PendingSnapshot(); len(pending) > 0 {
 			snap.AdapterPending = pending
 		}
@@ -306,8 +309,7 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	if snap.Report == nil {
 		return nil, fmt.Errorf("core: session snapshot has no report")
 	}
-	mode := schedMode(snap.Mode)
-	if mode != modeSequential && mode != modeRound && mode != modeAsync {
+	if snap.Mode < modeSequential || snap.Mode > modeEvent {
 		return nil, fmt.Errorf("core: session snapshot has unknown scheduler mode %d", snap.Mode)
 	}
 	if now := e.Clock.Now(); now > snap.BaseSec {
@@ -315,7 +317,7 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	}
 	e.Clock.Advance(snap.BaseSec - e.Clock.Now())
 
-	s := e.newSession(snap.Options, mode)
+	s := e.newSession(snap.Options)
 	// The surrogate window must be in place before the searcher checkpoint
 	// is restored: a windowed GP restore keeps its packed factor windowed,
 	// and a windowed DeepTune restore replays its history through the same
@@ -351,24 +353,23 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	// Workers: clocks, stall accounting, noise streams, skip digests.
 	for i, ws := range snap.Workers {
 		st := s.workers[i]
-		if s.wall != nil {
-			s.wall.RestoreWorker(i, ws.ClockSec, ws.StallSec)
-		} else if ws.ClockSec > e.Clock.Now() {
-			e.Clock.Advance(ws.ClockSec - e.Clock.Now())
-		}
+		s.wall.RestoreWorker(i, ws.ClockSec, ws.StallSec)
 		st.noise.SetState(ws.RNG)
 		st.imageKey, st.haveImage = ws.ImageKey, ws.HaveImage
 		st.bootKey, st.haveBoot = ws.BootKey, ws.HaveBoot
 		st.builds = ws.Builds
 	}
-	// A parallel session's wall-clock advance up to the snapshot was
-	// already folded onto the original engine's clock (finalize); bring
-	// this engine's clock to the same virtual position, so chains sharing
-	// the clock resume exactly where the uninterrupted run would be.
-	if s.wall != nil {
-		if target := snap.BaseSec + snap.FoldedSec; target > e.Clock.Now() {
-			e.Clock.Advance(target - e.Clock.Now())
-		}
+	// The session's wall-clock advance up to the snapshot was already
+	// folded onto the original engine's clock (finalize; a modeSequential
+	// session ran on the engine clock itself); bring this engine's clock to
+	// the same virtual position, so chains sharing the clock resume exactly
+	// where the uninterrupted run would be.
+	s.folded = snap.FoldedSec
+	if snap.Mode == modeSequential {
+		s.folded = snap.Workers[0].ClockSec - snap.BaseSec
+	}
+	if target := snap.BaseSec + s.folded; target > e.Clock.Now() {
+		e.Clock.Advance(target - e.Clock.Now())
 	}
 
 	// Cache: store contents and the in-flight registry.
@@ -384,9 +385,12 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	// Scheduler position and pending evaluations.
 	s.next, s.observed = snap.Next, snap.Observed
 	s.done.Store(snap.Done)
-	s.folded = snap.FoldedSec
 	s.round = snap.Round
 	s.exhausted, s.frontier = snap.Exhausted, snap.Frontier
+	if snap.Mode != modeEvent {
+		// The older loops decided at the latest worker clock (the barrier).
+		s.frontier = s.wall.Now()
+	}
 	s.faultCur = snap.FaultCursor
 	for _, rs := range snap.Retries {
 		cfg, err := space.FromKV(rs.ConfigKV)
@@ -397,28 +401,32 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 			iter: rs.Iter, cfg: cfg, attempt: rs.Attempt, notBefore: rs.NotBeforeSec,
 		})
 	}
-	for i := range snap.Buffer {
-		ev, err := s.restoreEval(&snap.Buffer[i])
+	pending := snap.Inflight
+	switch snap.Mode {
+	case modeRound:
+		pending = make([]*evalSnap, wantWorkers)
+		for i := range snap.Buffer {
+			es := &snap.Buffer[i]
+			if es.Worker < 0 || es.Worker >= wantWorkers || pending[es.Worker] != nil {
+				return nil, fmt.Errorf("core: buffered evaluation %d on worker %d of %d is not alone on its worker", es.Iter, es.Worker, wantWorkers)
+			}
+			pending[es.Worker] = es
+		}
+	case modeEvent:
+		if len(pending) != wantWorkers {
+			return nil, fmt.Errorf("core: snapshot has %d inflight slots, options imply %d", len(pending), wantWorkers)
+		}
+	}
+	for i, es := range pending {
+		if es == nil {
+			continue
+		}
+		ev, err := s.restoreEval(es)
 		if err != nil {
 			return nil, err
 		}
-		s.buf = append(s.buf, ev)
-	}
-	if mode == modeAsync {
-		if len(snap.Inflight) != wantWorkers {
-			return nil, fmt.Errorf("core: snapshot has %d inflight slots, options imply %d", len(snap.Inflight), wantWorkers)
-		}
-		for i, es := range snap.Inflight {
-			if es == nil {
-				continue
-			}
-			ev, err := s.restoreEval(es)
-			if err != nil {
-				return nil, err
-			}
-			s.inflight[i] = ev
-			s.busy++
-		}
+		s.inflight[i] = ev
+		s.busy++
 	}
 
 	// Corpus warm-start state: the remaining seed queue, and the warm
@@ -457,7 +465,7 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		return nil, err
 	}
 	if len(snap.AdapterPending) > 0 {
-		pc, ok := s.recorder.(pendingCheckpointer)
+		pc, ok := s.batcher.(pendingCheckpointer)
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot carries batch-adapter state but the session has no adapter")
 		}

@@ -630,10 +630,10 @@ func TestTransferscaleMonotone(t *testing.T) {
 func TestSearcherscaleWindowFlatCost(t *testing.T) {
 	// The experiment verifies bit-identity of both batched paths
 	// internally (it errors on any divergence); the test pins the
-	// flat-cost shape. The asymptotic gap is wide — the unbounded
-	// surrogate's per-add cost grows ~16x over a 4-window span while the
-	// windowed one stays put — so even noisy wall-clock at tiny scale
-	// clears these thresholds.
+	// flat-cost shape. The tail ratios count factor steps per add
+	// (gp.FactorOps), not time, so they are the same on every host under
+	// any load: the unbounded surrogate's per-add work doubles between
+	// 2 and 4 windows while the windowed one stays put.
 	scale := tinyScale()
 	scale.SurrogateStream = 600
 	scale.SurrogateWindow = 64

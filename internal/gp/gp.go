@@ -169,6 +169,14 @@ func (g *GP) SetHyperAdapt(every int) { g.hyperEvery = every }
 // their frames are active).
 func (g *GP) Len() int { return len(g.xs) }
 
+// FactorOps returns the multiply-subtract steps the model's live Cholesky
+// factor has run (stats.TriFactor.Ops): factorizations, extensions,
+// window downdates and the solves behind weights and predictions —
+// deterministic, so cost-shape checks can count work instead of timing
+// it. Hyperparameter probes factor on scratch storage and are not
+// counted.
+func (g *GP) FactorOps() int64 { return g.chol.Ops() }
+
 // Fantasies returns the number of active fantasized observations.
 func (g *GP) Fantasies() int { return len(g.frames) }
 

@@ -87,10 +87,12 @@ func (b *batchAdapter) ProposeBatch(n int) []*configspace.Config {
 	out := make([]*configspace.Config, 0, n)
 	for len(out) < n {
 		c := b.propose()
-		for attempt := 1; attempt < proposeAttempts && b.pending[c.Hash()] > 0; attempt++ {
+		h := c.Hash()
+		for attempt := 1; attempt < proposeAttempts && b.pending[h] > 0; attempt++ {
 			c = b.propose()
+			h = c.Hash()
 		}
-		b.pending[c.Hash()]++
+		b.pending[h]++
 		out = append(out, c)
 	}
 	return out

@@ -725,6 +725,13 @@ func (s *DeepTune) Propose() *configspace.Config {
 // best-effort basis — the adapter's dedup policy.
 func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
 	defer accrue(&s.cost)()
+	if n == 1 && len(s.pending) == 0 {
+		// Nothing to avoid: a singleton batch is the selector's Propose
+		// exactly, RNG stream included, without hashing the whole pool.
+		c := s.sel.Propose()
+		s.pending[c.Hash()]++
+		return []*configspace.Config{c}
+	}
 	out := s.sel.ProposeBatch(n, func(c *configspace.Config) bool {
 		return s.pending[c.Hash()] > 0
 	})
@@ -745,12 +752,15 @@ func (s *DeepTune) Pending() int {
 }
 
 // Observe implements Searcher, clearing the configuration from the
-// pending set before retraining the DTM.
+// pending set (dropping spent keys, so an empty set means nothing is
+// pending) before retraining the DTM.
 func (s *DeepTune) Observe(o Observation) {
 	defer accrue(&s.cost)()
 	if o.Config != nil {
-		if h := o.Config.Hash(); s.pending[h] > 0 {
+		if h := o.Config.Hash(); s.pending[h] > 1 {
 			s.pending[h]--
+		} else {
+			delete(s.pending, h)
 		}
 	}
 	s.xs = append(s.xs, o.X)

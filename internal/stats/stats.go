@@ -394,10 +394,19 @@ type TriFactor struct {
 	// dscratch is Downdate's reusable rotation column (the deleted row's
 	// subdiagonal), regrown on demand.
 	dscratch []float64
+	// ops counts the multiply-subtract steps the factor's kernels ran.
+	ops int64
 }
 
 // Len returns the factor's current dimension.
 func (t *TriFactor) Len() int { return t.n }
+
+// Ops returns the number of inner multiply-subtract steps (one per
+// innermost loop iteration, a Downdate rotation counting as one) that
+// factorizations, extensions, downdates and solves on this factor have
+// run: a count of the work done, independent of how fast the host did
+// it.
+func (t *TriFactor) Ops() int64 { return t.ops }
 
 // At returns element (i, j) for j ≤ i.
 func (t *TriFactor) At(i, j int) float64 { return t.data[i*(i+1)/2+j] }
@@ -441,6 +450,7 @@ func (t *TriFactor) ExtendClamped(b []float64, d, floor float64) bool {
 
 func (t *TriFactor) extend(b []float64, d, floor float64) (bool, error) {
 	n := t.n
+	t.ops += int64(n*(n-1)/2 + n)
 	base := len(t.data)
 	t.data = append(t.data, make([]float64, n+1)...)
 	row := t.data[base : base+n+1]
@@ -483,6 +493,7 @@ func (t *TriFactor) FactorFromRows(rows [][]float64, diagAdd float64) error {
 	}
 	t.data = t.data[:need]
 	t.n = n
+	t.ops += int64((n - 1) * n * (n + 1) / 6)
 	for i := 0; i < n; i++ {
 		ri := t.data[i*(i+1)/2:]
 		for j := 0; j <= i; j++ {
@@ -537,6 +548,7 @@ func (t *TriFactor) Downdate() error {
 	}
 	t.n = m
 	t.data = t.data[:m*(m+1)/2]
+	t.ops += int64(m * (m - 1) / 2)
 	// Rank-1 update: rotate v into the repacked L₁, column by column.
 	for k := 0; k < m; k++ {
 		diag := k*(k+1)/2 + k
@@ -573,6 +585,7 @@ func (t *TriFactor) SetPacked(n int, data []float64) error {
 
 // ForwardSolve solves L v = b into dst (len ≥ t.Len()), allocation-free.
 func (t *TriFactor) ForwardSolve(b, dst []float64) {
+	t.ops += int64(t.n * (t.n - 1) / 2)
 	for i := 0; i < t.n; i++ {
 		sum := b[i]
 		ri := t.data[i*(i+1)/2:]
@@ -587,6 +600,7 @@ func (t *TriFactor) ForwardSolve(b, dst []float64) {
 // substitution, allocation-free.
 func (t *TriFactor) Solve(b, dst []float64) {
 	t.ForwardSolve(b, dst)
+	t.ops += int64(t.n * (t.n - 1) / 2)
 	for i := t.n - 1; i >= 0; i-- {
 		sum := dst[i]
 		for k := i + 1; k < t.n; k++ {
@@ -611,6 +625,7 @@ func (t *TriFactor) Solve(b, dst []float64) {
 // architecture fuses, applies alike to both paths. (The [:len(di)]
 // reslices only let the compiler drop the inner loops' bounds checks.)
 func (t *TriFactor) ForwardSolveBatch(b, dst []float64, m int) {
+	t.ops += int64(m * t.n * (t.n - 1) / 2)
 	for i := 0; i < t.n; i++ {
 		ri := t.data[i*(i+1)/2:]
 		di := dst[i*m : i*m+m]
@@ -645,6 +660,7 @@ func (t *TriFactor) ForwardSolveBatch(b, dst []float64, m int) {
 // calls. Allocation-free.
 func (t *TriFactor) SolveBatch(b, dst []float64, m int) {
 	t.ForwardSolveBatch(b, dst, m)
+	t.ops += int64(m * t.n * (t.n - 1) / 2)
 	for i := t.n - 1; i >= 0; i-- {
 		di := dst[i*m : i*m+m]
 		for k := i + 1; k < t.n; k++ {

@@ -720,3 +720,34 @@ func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTriFactorOps pins Ops to the kernels' innermost-loop trip counts.
+func TestTriFactorOps(t *testing.T) {
+	rows := [][]float64{{4}, {2, 5}, {1, 2, 6}, {0.5, 1, 1.5, 7}}
+	var f TriFactor
+	step := func(name string, want int64) {
+		t.Helper()
+		if got := f.Ops(); got != want {
+			t.Fatalf("after %s: Ops %d, want %d", name, got, want)
+		}
+	}
+	if err := f.FactorFromRows(rows[:3], 0); err != nil {
+		t.Fatal(err)
+	}
+	step("3×3 factorization", 4) // Σ_{i<3} Σ_{j≤i} j
+	if err := f.Extend(rows[3][:3], rows[3][3]); err != nil {
+		t.Fatal(err)
+	}
+	step("extension to 4", 10) // + 3 forward + 3 Schur
+	b, dst := []float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8)
+	f.ForwardSolve(b, dst)
+	step("forward solve", 16) // + 4·3/2
+	f.Solve(b, dst)
+	step("solve", 28) // + 2·6
+	if err := f.Downdate(); err != nil {
+		t.Fatal(err)
+	}
+	step("downdate to 3", 31) // + 3·2/2 rotations
+	f.SolveBatch(b[:6], dst[:6], 2)
+	step("2-column batch solve", 43) // + 2·(2·3)
+}

@@ -90,8 +90,8 @@ type JobSpec struct {
 }
 
 // SpecFromJob lifts a parsed YAML job file into a JobSpec (the wfctl
-// submit path; daemon-level fields — tenant, seed, searcher — are the
-// caller's).
+// start and submit paths; daemon-level fields — tenant, seed, searcher —
+// are the caller's).
 func SpecFromJob(job *configspace.Job) JobSpec {
 	return JobSpec{
 		Name:          job.Name,
@@ -125,9 +125,9 @@ func (sp JobSpec) withDefaults() JobSpec {
 	return sp
 }
 
-// options maps the spec onto session options. It fails only on an
+// Options maps the spec onto session options. It fails only on an
 // unparseable fault schedule — everything else defers to Options.Validate.
-func (sp JobSpec) options() (core.Options, error) {
+func (sp JobSpec) Options() (core.Options, error) {
 	sched, err := fault.Parse(sp.FaultSchedule)
 	if err != nil {
 		return core.Options{}, fmt.Errorf("%w: fault_schedule: %v", ErrBadSpec, err)
@@ -189,7 +189,7 @@ func (sp JobSpec) Validate() error {
 			return fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
 	}
-	opts, err := sp.options()
+	opts, err := sp.Options()
 	if err != nil {
 		return err
 	}
@@ -271,9 +271,12 @@ func (sp JobSpec) buildSearcher(model *simos.Model, maximize bool) (search.Searc
 	return nil, fmt.Errorf("%w: unknown searcher %q", ErrBadSpec, sp.Searcher)
 }
 
-// assemble builds the construction inputs shared by fresh and resumed
-// sessions.
-func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Searcher, error) {
+// Assemble builds the spec's construction inputs — the model with favor
+// weights and fixed parameters applied, the app, the metric and a fresh
+// searcher — with the defaults filled. The daemon's fresh and resumed
+// sessions and `wfctl start` all build from here.
+func (sp JobSpec) Assemble() (*simos.Model, *simos.App, core.Metric, search.Searcher, error) {
+	sp = sp.withDefaults()
 	model, err := sp.buildModel()
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -297,12 +300,11 @@ func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Sear
 // spec gets the daemon's shared store: the session queries it for warm
 // starts at construction and deposits into it at completion.
 func (sp JobSpec) buildSession(observer func(core.Event), st *corpus.Store) (*wayfinder.Session, error) {
-	sp = sp.withDefaults()
-	model, app, metric, searcher, err := sp.assemble()
+	model, app, metric, searcher, err := sp.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	opts, err := sp.options()
+	opts, err := sp.Options()
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +326,7 @@ func (sp JobSpec) buildSession(observer func(core.Event), st *corpus.Store) (*wa
 // start (seed queue and weights) verbatim, so the resumed session never
 // re-queries a corpus that may have grown since admission.
 func (sp JobSpec) resumeSession(snapshot []byte, observer func(core.Event), st *corpus.Store) (*wayfinder.Session, error) {
-	sp = sp.withDefaults()
-	model, app, metric, searcher, err := sp.assemble()
+	model, app, metric, searcher, err := sp.Assemble()
 	if err != nil {
 		return nil, err
 	}

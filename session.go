@@ -2,8 +2,7 @@
 // constructed with functional options, then driven through an explicit
 // lifecycle — run to completion under a context, stepped one observation
 // at a time, observed through a typed event stream, snapshotted to bytes,
-// and resumed byte-identically. The blocking Specialize helpers remain as
-// deprecated wrappers over it.
+// and resumed byte-identically.
 package wayfinder
 
 import (

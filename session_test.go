@@ -41,39 +41,6 @@ func reportJSON(t *testing.T, rep *Report) string {
 	return string(data)
 }
 
-// TestSessionMatchesSpecialize: the deprecated one-liner and the Session
-// lifecycle are the same session, byte for byte, across schedulers.
-func TestSessionMatchesSpecialize(t *testing.T) {
-	optsMatrix := []SessionOptions{
-		{Iterations: 24, Seed: 5},
-		{Iterations: 24, Seed: 5, Workers: 8},
-		{Iterations: 24, Seed: 5, Workers: 8, Async: true, Staleness: -1, Hosts: 2},
-	}
-	for i, opts := range optsMatrix {
-		m1 := testModel()
-		app := AppNginx()
-		legacy, err := Specialize(m1, app, NewRandomSearcher(m1.Space, 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2 := testModel()
-		session, err := New(m2, app,
-			WithSearcher(NewRandomSearcher(m2.Space, 5)),
-			WithOptions(opts),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := session.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reportJSON(t, legacy) != reportJSON(t, rep) {
-			t.Fatalf("case %d: Session.Run diverged from Specialize", i)
-		}
-	}
-}
-
 // TestSessionFaultOptions pins the public fault wiring: the DSL parses,
 // WithFaultSchedule/WithDispatchPolicy drive a deterministic faulted
 // session end to end, and Resume rejects both (a schedule is session
