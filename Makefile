@@ -103,10 +103,11 @@ bench-cache:
 # (extend + rank-1 downdate), the batched acquisition paths (batch EI and
 # the DTM pool pass, each with a 0-alloc steady-state assertion), the
 # sequential Bayesian proposal and the native constant-liar batch proposal,
-# and the DeepTune observe path — so the model side of the search loop gets
-# its own race-detector smoke on every push.
+# the DeepTune observe path, and the DTM minibatch update at the served
+# shape (with its bounded-allocation assertion) — so the model side of the
+# search loop gets its own race-detector smoke on every push.
 bench-search:
-	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
+	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve|DeepTuneUpdate' -benchtime=1x -run='^$$' .
 
 # bench-digests machine-checks the end-to-end bit-identity contract: one
 # short run of each standing-benchmark workload on seed 1, each of which

@@ -293,24 +293,71 @@ func BenchmarkBayesianProposeBatch(b *testing.B) {
 	}
 }
 
+// deepTuneHistory is the tune-deeptune session length: the served shape's
+// DTM retrains on at most this many observations.
+const deepTuneHistory = 80
+
 // BenchmarkDeepTuneObserve measures one DTM incremental retrain — the
-// per-iteration model update the paper's Fig 8 reports as flat-cost.
+// per-iteration model update the paper's Fig 8 reports as flat-cost — on
+// a fixed deepTuneHistory-row history: the searcher's training window
+// holds it there, so ns/op does not depend on b.N.
 func BenchmarkDeepTuneObserve(b *testing.B) {
 	m := simos.NewLinux(simos.LinuxOptions{FillerRuntime: 80, FillerBoot: 10, FillerCompile: 30, Seed: 1})
 	m.Space.Favor(configspace.CompileTime, 0)
 	cfg := deeptune.DefaultConfig()
 	cfg.Seed = 1
 	s := search.NewDeepTune(m.Space, true, cfg)
+	if err := s.SetSurrogateWindow(deepTuneHistory); err != nil {
+		b.Fatal(err)
+	}
 	enc := configspace.NewEncoder(m.Space)
 	r := rng.New(3)
-	for i := 0; i < 32; i++ {
+	observe := func() {
 		c := m.Space.Random(r)
 		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
 	}
+	for i := 0; i < deepTuneHistory; i++ {
+		observe()
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := m.Space.Random(r)
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+		observe()
+	}
+}
+
+// BenchmarkDeepTuneUpdate measures DTM.Update at the served shape: the
+// default Linux model's runtime space (397 features), a deepTuneHistory-row
+// history with a crash mix, DefaultConfig. The history is fixed, so every
+// op trains the same amount. Update may allocate only a bounded number of
+// times — its history- and minibatch-sized buffers, never a slice per
+// sample — which the benchmark asserts before timing.
+func BenchmarkDeepTuneUpdate(b *testing.B) {
+	m := simos.NewLinux(simos.DefaultLinuxOptions())
+	m.Space.Favor(configspace.CompileTime, 0)
+	enc := configspace.NewEncoder(m.Space)
+	d := deeptune.New(enc.Dim(), deeptune.DefaultConfig())
+	r := rng.New(3)
+	xs := make([][]float64, deepTuneHistory)
+	ys := make([]float64, deepTuneHistory)
+	crashed := make([]bool, deepTuneHistory)
+	for i := range xs {
+		xs[i], ys[i], crashed[i] = enc.Encode(m.Space.Random(r)), r.Float64()*100, i%7 == 0
+	}
+	update := func() {
+		if err := d.Update(xs, ys, crashed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	update() // the optimizers' moments are allocated on the first step
+	const maxAllocs = 32
+	if allocs := testing.AllocsPerRun(2, update); allocs > maxAllocs {
+		b.Fatalf("Update allocated %.0f times per op on %d rows, want at most %d", allocs, deepTuneHistory, maxAllocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"wayfinder/internal/wfd"
 )
@@ -75,7 +76,11 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	srv := &http.Server{Handler: wfd.NewHandler(d)}
+	// A client that opens a connection and never finishes its request
+	// headers must not hold a connection open forever. Bodies are bounded
+	// by the handlers; event streams and waited reports stay open by
+	// design, so no read or write timeout applies to whole requests.
+	srv := &http.Server{Handler: wfd.NewHandler(d), ReadHeaderTimeout: 10 * time.Second}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +259,52 @@ func TestSessionSnapshotRequiresCheckpointable(t *testing.T) {
 		t.Fatal("expected snapshot of a non-checkpointable searcher to fail")
 	}
 }
+
+// TestRestoreRejectsInconsistentCounters: a snapshot whose scheduler
+// counters disagree with its history is refused instead of resuming into
+// negative or duplicate iterations or a wrong observation count.
+func TestRestoreRejectsInconsistentCounters(t *testing.T) {
+	sess, err := newSessionEngine(t, "random", 3).NewSession(Options{Iterations: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Step(5)
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		next, observed int
+	}{
+		{"negative next", -5, 5},
+		{"observed beyond history", 5, 105},
+		{"observed short of history", 5, 4},
+		{"next behind observed", 4, 5},
+	} {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(snap, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["next"], fields["observed"] = jsonInt(tc.next), jsonInt(tc.observed)
+		bad, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newSessionEngine(t, "random", 3).RestoreSession(bad); err == nil {
+			t.Errorf("%s (next=%d, observed=%d): restore succeeded, want an error", tc.name, tc.next, tc.observed)
+		}
+	}
+	resumed, err := newSessionEngine(t, "random", 3).RestoreSession(snap)
+	if err != nil {
+		t.Fatalf("consistent snapshot: %v", err)
+	}
+	if resumed.Observed() != 5 {
+		t.Fatalf("resumed at observation %d, want 5", resumed.Observed())
+	}
+}
+
+func jsonInt(v int) json.RawMessage { return json.RawMessage(strconv.Itoa(v)) }
 
 // TestSessionCancellation: a canceled Run returns the context error with a
 // consistent partial report (an observation-prefix of the uninterrupted

@@ -309,6 +309,17 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	if snap.Report == nil {
 		return nil, fmt.Errorf("core: session snapshot has no report")
 	}
+	// The scheduler counters must agree with the history: record is the
+	// only place that appends to it and counts an observation, and an
+	// observation's iteration was dispatched before it was recorded.
+	switch n := len(snap.Report.History); {
+	case snap.Next < 0:
+		return nil, fmt.Errorf("core: session snapshot's next iteration %d is negative", snap.Next)
+	case snap.Observed != n:
+		return nil, fmt.Errorf("core: session snapshot counts %d observations but its history holds %d", snap.Observed, n)
+	case snap.Next < snap.Observed:
+		return nil, fmt.Errorf("core: session snapshot's next iteration %d is behind its %d observations", snap.Next, snap.Observed)
+	}
 	if snap.Mode < modeSequential || snap.Mode > modeEvent {
 		return nil, fmt.Errorf("core: session snapshot has unknown scheduler mode %d", snap.Mode)
 	}

@@ -138,6 +138,7 @@ type DTM struct {
 	bh2    [][]float64 // post-ReLU trunk2 activations
 	bcrash [][]float64 // crash-head logits
 	bperf  [][]float64 // perf-head [mu, logVar]
+	bact   []float64   // RBF max activations: input bank, then hidden bank
 }
 
 // New creates a DTM over dim-dimensional feature vectors.
@@ -173,14 +174,14 @@ func (d *DTM) Trained() int { return d.trained }
 // (Fig 8's "DeepTune update time").
 func (d *DTM) LastUpdateCost() time.Duration { return d.lastCost }
 
-// forward runs the prediction trunk, returning hidden activations and
-// head outputs. Callers must not interleave forwards between Backward.
-func (d *DTM) forward(z []float64, train bool) (h1, h2, crashLogits, perfOut []float64) {
-	h1 = d.drop1.Forward(d.relu1.Forward(d.trunk1.Forward(z, train), train), train)
-	h2 = d.drop2.Forward(d.relu2.Forward(d.trunk2.Forward(h1, train), train), train)
-	crashLogits = d.crash.Forward(h2, train)
-	perfOut = d.perf.Forward(h2, train)
-	return
+// forward runs the prediction trunk on one input in inference mode
+// (Predict), returning the trunk1 latent the hidden RBF bank reads and
+// both heads' outputs. Training runs minibatches through the batch
+// kernels instead (Update).
+func (d *DTM) forward(z []float64) (h1, crashLogits, perfOut []float64) {
+	h1 = d.drop1.Forward(d.relu1.Forward(d.trunk1.Forward(z, false), false), false)
+	h2 := d.drop2.Forward(d.relu2.Forward(d.trunk2.Forward(h1, false), false), false)
+	return h1, d.crash.Forward(h2, false), d.perf.Forward(h2, false)
 }
 
 // params returns the prediction-branch parameters.
@@ -214,6 +215,17 @@ func (d *DTM) denormalizeY(yn float64) float64 {
 // vectors, metric values (ignored for crashed samples), and crash labels.
 // It refits the feature z-scorer, then runs cfg.Epochs of minibatch Adam
 // on L = L_CCE + L_Reg + L_Cham.
+//
+// Each minibatch runs as a batch through the layer kernels: forward
+// through trunk1, ReLU, dropout, trunk2, ReLU, dropout and both heads for
+// all its samples, the losses, then backward through the same chain. This
+// is bit-identical to running the samples one by one, forward then
+// backward, because nothing a sample reads changes within a minibatch:
+// the weights move only at the Adam step that ends it, each dropout layer
+// owns its RNG stream and draws its masks in sample order, and the batched
+// backward adds every gradient element's per-sample terms in sample order
+// (nn.Dense.BackwardBatch). trunk1's input gradient is never computed: no
+// parameter lies below it.
 func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 	if len(xs) == 0 {
 		return nil
@@ -229,66 +241,119 @@ func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 			d.yStats.Add(y)
 		}
 	}
-	zcache := make([][]float64, len(xs))
-	for i, x := range xs {
-		zcache[i] = d.zscorer.Transform(x)
+	n := len(xs)
+	bs := min(d.cfg.BatchSize, n)
+	if bs < 1 {
+		bs = 1
 	}
-	idx := make([]int, len(xs))
+	h1n, h2n := d.cfg.Hidden1, d.cfg.Hidden2
+	// One allocation holds the history-sized buffers — the z-scored inputs
+	// and this epoch's post-dropout trunk latents (the L_Cham batch, in
+	// shuffled order) — and the minibatch working set. It lives for this
+	// call only: nothing history-sized stays reachable from the model.
+	slab := make([]float64, n*(d.dim+h1n)+bs*(3*h1n+5*h2n+8))
+	zcache := carve(&slab, n, d.dim)
+	for i, x := range xs {
+		d.zscorer.TransformInto(x, zcache[i])
+	}
+	h1all := carve(&slab, n, h1n)
+	a1, m1, gh1 := carve(&slab, bs, h1n), carve(&slab, bs, h1n), carve(&slab, bs, h1n)
+	a2, h2, m2 := carve(&slab, bs, h2n), carve(&slab, bs, h2n), carve(&slab, bs, h2n)
+	gxCrash, gxPerf := carve(&slab, bs, h2n), carve(&slab, bs, h2n)
+	logits, gCrash := carve(&slab, bs, 2), carve(&slab, bs, 2)
+	perfOut, gPerf := carve(&slab, bs, 2), carve(&slab, bs, 2)
+	zb := make([][]float64, bs)
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	var h1batch [][]float64
+	params := d.params()
+	rbfParams := append(d.rbfIn.Params(), d.rbfHid.Params()...)
 	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
 		d.rng.ShuffleInts(idx)
-		h1batch = h1batch[:0]
-		for bi, i := range idx {
-			z := zcache[i]
-			h1, _, crashLogits, perfOut := d.forward(z, true)
-			// L_CCE on the crash head.
-			class := 0
-			if crashed[i] {
-				class = 1
+		for lo := 0; lo < n; lo += bs {
+			batch := idx[lo:min(lo+bs, n)]
+			m := len(batch)
+			for k, i := range batch {
+				zb[k] = zcache[i]
 			}
-			_, gCrash := nn.CrossEntropyLogits(append([]float64(nil), crashLogits...), class)
-			// L_Reg on the performance head (non-crashed samples only:
-			// crashed runs have no metric).
-			gPerf := []float64{0, 0}
-			if !crashed[i] {
-				yn := d.normalizeY(ys[i])
-				_, dMu, dLogVar := nn.HeteroscedasticLoss(perfOut[0], perfOut[1], yn)
-				gPerf[0], gPerf[1] = dMu, dLogVar
+			z, h1 := zb[:m], h1all[lo:lo+m]
+			// Forward: trunk1 → ReLU → dropout → trunk2 → ReLU → dropout →
+			// both heads.
+			d.trunk1.ForwardBatch(z, a1[:m])
+			reluInPlace(a1[:m])
+			d.drop1.ForwardBatch(a1[:m], h1, m1[:m])
+			d.trunk2.ForwardBatch(h1, a2[:m])
+			reluInPlace(a2[:m])
+			d.drop2.ForwardBatch(a2[:m], h2[:m], m2[:m])
+			d.crash.ForwardBatch(h2[:m], logits[:m])
+			d.perf.ForwardBatch(h2[:m], perfOut[:m])
+			for k, i := range batch {
+				// L_CCE on the crash head.
+				class := 0
+				if crashed[i] {
+					class = 1
+				}
+				nn.CrossEntropyLogitsInto(logits[k], class, gCrash[k])
+				// L_Reg on the performance head (non-crashed samples only:
+				// crashed runs have no metric).
+				gPerf[k][0], gPerf[k][1] = 0, 0
+				if !crashed[i] {
+					yn := d.normalizeY(ys[i])
+					_, dMu, dLogVar := nn.HeteroscedasticLoss(perfOut[k][0], perfOut[k][1], yn)
+					gPerf[k][0], gPerf[k][1] = dMu, dLogVar
+				}
 			}
 			// Backprop both heads into the shared trunk:
 			// drop2 → relu2 → trunk2 → drop1 → relu1 → trunk1.
-			gh2 := make([]float64, d.cfg.Hidden2)
-			add(gh2, d.crash.Backward(gCrash))
-			add(gh2, d.perf.Backward(gPerf))
-			g := d.drop2.Backward(gh2)
-			g = d.relu2.Backward(g)
-			g = d.trunk2.Backward(g)
-			g = d.drop1.Backward(g)
-			g = d.relu1.Backward(g)
-			d.trunk1.Backward(g)
-			h1batch = append(h1batch, append([]float64(nil), h1...))
-			if (bi+1)%d.cfg.BatchSize == 0 || bi == len(idx)-1 {
-				nn.ClipGradients(d.params(), 5)
-				d.opt.Step(d.params())
+			d.crash.BackwardBatch(h2[:m], gCrash[:m], gxCrash[:m])
+			d.perf.BackwardBatch(h2[:m], gPerf[:m], gxPerf[:m])
+			for k := 0; k < m; k++ {
+				g := gxPerf[k] // the perf head's input gradient becomes the trunk's
+				for u, c := range gxCrash[k] {
+					// Summed in the per-sample loop's order: 0, +crash, +perf.
+					sum := 0.0
+					sum += c
+					sum += g[u]
+					g[u] = sum
+				}
+				dropReLUBackward(g, m2[k], a2[k])
 			}
+			d.trunk2.BackwardBatch(h1, gxPerf[:m], gh1[:m])
+			for k := 0; k < m; k++ {
+				dropReLUBackward(gh1[k], m1[k], a1[k])
+			}
+			d.trunk1.BackwardBatch(z, gh1[:m], nil)
+			d.opt.StepScaled(params, nn.ClipScale(params, 5))
 		}
 		// L_Cham: fit the RBF prototypes to the (z-scored) inputs and the
 		// trunk latents of this epoch.
 		d.rbfIn.ChamferLoss(zcache)
-		d.rbfHid.ChamferLoss(h1batch)
-		d.rbfOpt.Step(append(d.rbfIn.Params(), d.rbfHid.Params()...))
+		d.rbfHid.ChamferLoss(h1all)
+		d.rbfOpt.Step(rbfParams)
 	}
 	d.trained++
 	d.lastCost = time.Since(start) //wfvet:ignore walltime DTM retrain cost is measured real compute time (Fig 8), never session-visible state
 	return nil
 }
 
-func add(dst, src []float64) {
-	for i := range src {
-		dst[i] += src[i]
+// carve cuts rows row views of cols elements off the front of *slab.
+func carve(slab *[]float64, rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = (*slab)[:cols:cols]
+		*slab = (*slab)[cols:]
+	}
+	return out
+}
+
+// dropReLUBackward back-propagates g in place through a dropout layer and
+// the ReLU beneath it: Dropout.Backward (g·mask), then ReLU.Backward (zero
+// where the ReLU output act was not positive).
+func dropReLUBackward(g, mask, act []float64) {
+	mask, act = mask[:len(g)], act[:len(g)]
+	for i, v := range g {
+		g[i] = ifPositive(act[i], v*mask[i])
 	}
 }
 
@@ -298,7 +363,7 @@ func (d *DTM) Predict(x []float64) Prediction {
 	if d.zscorer != nil {
 		z = d.zscorer.Transform(x)
 	}
-	h1, _, crashLogits, perfOut := d.forward(z, false)
+	h1, crashLogits, perfOut := d.forward(z)
 	// Softmax over two classes; class 1 = crash.
 	p := nn.Sigmoid(crashLogits[1] - crashLogits[0])
 	sd := d.yStats.StdDev()
@@ -325,12 +390,14 @@ func growMatrix(buf [][]float64, rows, cols int) [][]float64 {
 }
 
 // PredictBatch runs the DTM over a whole candidate batch in four
-// matrix-shaped dense passes (z-score, trunk1, trunk2, heads) instead of
-// len(xs) scalar chains, writing out[j] for xs[j]. Every per-sample
-// floating-point operation happens in the identical order to Predict, so
-// the results are bit-identical to a Predict loop; out must hold at least
-// len(xs) entries. Scratch is reused across calls — a steady-state pool
-// scoring pass allocates nothing.
+// matrix-shaped dense passes (z-score, trunk1, trunk2, heads), each blocked
+// over four candidates (nn.Dense.ForwardBatch), and two batched RBF passes
+// (nn.RBFBank.MaxActivationBatch), instead of len(xs) scalar chains,
+// writing out[j] for xs[j]. Every per-sample floating-point
+// operation happens in the identical order to Predict, so the results are
+// bit-identical to a Predict loop; out must hold at least len(xs) entries.
+// Scratch is reused across calls — a steady-state pool scoring pass
+// allocates nothing.
 func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 	m := len(xs)
 	if m == 0 {
@@ -356,6 +423,12 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 	reluInPlace(d.bh2[:m])
 	d.crash.ForwardBatch(d.bh2[:m], d.bcrash[:m])
 	d.perf.ForwardBatch(d.bh2[:m], d.bperf[:m])
+	if len(d.bact) < 2*m {
+		d.bact = make([]float64, 2*m)
+	}
+	actIn, actHid := d.bact[:m], d.bact[m:2*m]
+	d.rbfIn.MaxActivationBatch(d.bz[:m], actIn)
+	d.rbfHid.MaxActivationBatch(d.bh1[:m], actHid)
 	sd := d.yStats.StdDev()
 	if sd < 1e-9 {
 		sd = 1
@@ -364,7 +437,7 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 		crashLogits, perfOut := d.bcrash[j], d.bperf[j]
 		p := nn.Sigmoid(crashLogits[1] - crashLogits[0])
 		sigma := math.Exp(0.5*stats.Clamp(perfOut[1], -20, 20)) * sd
-		u := 1 - 0.5*(d.rbfIn.MaxActivation(d.bz[j])+d.rbfHid.MaxActivation(d.bh1[j]))
+		u := 1 - 0.5*(actIn[j]+actHid[j])
 		out[j] = Prediction{
 			CrashProb:   p,
 			Perf:        d.denormalizeY(perfOut[0]),
@@ -374,34 +447,90 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 	}
 }
 
-// reluInPlace applies max(0, x) elementwise — the eval-mode equivalent of
-// the trunk's ReLU layers, on the batch scratch rows.
+// reluInPlace applies max(0, x) elementwise — the trunk's ReLU layers, on
+// the batch rows.
 func reluInPlace(rows [][]float64) {
 	for _, row := range rows {
 		for i, v := range row {
-			if !(v > 0) {
-				row[i] = 0
-			}
+			row[i] = ifPositive(v, v)
 		}
 	}
+}
+
+// ifPositive returns v when act > 0 and +0 otherwise (NaN included), the
+// value nn.ReLU's Forward and Backward produce. It selects with a mask
+// rather than a branch: a ReLU input's sign is a coin flip, and the
+// mispredicted branches cost more than the arithmetic around them.
+func ifPositive(act, v float64) float64 {
+	var keep uint64
+	if act > 0 {
+		keep = ^uint64(0) // a conditional move, not a jump
+	}
+	return math.Float64frombits(math.Float64bits(v) & keep)
 }
 
 // Dissimilarity implements Eq. 2: ds(x, X) = 1 − 1/(1+‖x−X‖²), with
 // ‖x−X‖² the per-dimension-normalized squared distance from x to the
 // nearest explored point, so the value is comparable across space sizes.
+//
+// The nearest distance is found four explored rows per pass over x
+// (sqDist4), newest rows first, and a pass stops early once all four
+// partial sums have reached the best distance so far. Neither changes the
+// result bit for bit: each distance adds its squared differences in i
+// order, as stats.SquaredDistance does, so every distance that completes
+// is the same value; partial sums of non-negative terms never decrease,
+// so a row abandoned at or above the best could not have beaten it; and
+// the minimum of a set of distances is the same value whatever order
+// they are compared in. Newest first finds a near row early: candidates
+// are mostly mutations of the incumbent, and so are the latest picks.
 func Dissimilarity(x []float64, explored [][]float64) float64 {
 	if len(explored) == 0 {
 		return 1
 	}
 	best := math.Inf(1)
-	for _, e := range explored {
-		d2 := stats.SquaredDistance(x, e)
-		if d2 < best {
+	j := len(explored)
+	for ; j >= 4; j -= 4 {
+		for _, d2 := range sqDist4(x, explored[j-4:j], best) {
+			if d2 < best {
+				best = d2
+			}
+		}
+	}
+	for _, e := range explored[:j] {
+		if d2 := stats.SquaredDistance(x, e); d2 < best {
 			best = d2
 		}
 	}
 	best /= float64(len(x)) // per-dimension normalization
 	return 1 - 1/(1+best*float64(len(x))/4)
+}
+
+// sqDist4 returns ‖x − e‖² for four rows e in one pass over x, adding
+// each distance's squared differences in i order. The four independent
+// chains overlap where one would wait on each add. Every 32 elements it
+// stops once all four partial sums are at least bound, returning them:
+// each is then a lower bound that is itself at least bound.
+func sqDist4(x []float64, es [][]float64, bound float64) [4]float64 {
+	e0, e1, e2, e3 := es[0][:len(x)], es[1][:len(x)], es[2][:len(x)], es[3][:len(x)]
+	var s0, s1, s2, s3 float64
+	for lo := 0; lo < len(x); lo += 32 {
+		hi := min(lo+32, len(x))
+		for i, xi := range x[lo:hi] {
+			i += lo
+			d0 := xi - e0[i]
+			d1 := xi - e1[i]
+			d2 := xi - e2[i]
+			d3 := xi - e3[i]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		if s0 >= bound && s1 >= bound && s2 >= bound && s3 >= bound {
+			break
+		}
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // Score implements Eq. 3 for one candidate.

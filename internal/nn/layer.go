@@ -6,8 +6,13 @@
 // regression loss for performance-with-uncertainty, and the Chamfer
 // distance regularizer that fits RBF centroids to the data distribution.
 //
-// The library works on flat []float64 vectors, sample-at-a-time, which is
-// the right operating point for the DTM's small incremental-update batches.
+// The library works on flat []float64 vectors. Every layer has a
+// sample-at-a-time Forward/Backward (the Layer interface); the layers the
+// DTM trains and scores with also have minibatch kernels (Dense.ForwardBatch
+// and BackwardBatch, Dropout.ForwardBatch) that process four samples per
+// pass over the weights. Each sample's arithmetic runs in the same order
+// as in the scalar methods, so both give bit-identical results; the
+// scalar methods are the reference the kernels are tested against.
 package nn
 
 import (
@@ -89,27 +94,189 @@ func (d *Dense) Forward(x []float64, _ bool) []float64 {
 	return d.y
 }
 
-// ForwardBatch computes y = W·x + b for a whole batch of inputs in one
-// matrix-shaped pass, writing row j of ys for row j of xs. The sweep is
-// sample-major — the weight matrix (small, L1-resident) is rescanned per
-// sample while each batch row is streamed exactly once, which beats the
-// output-major order once the batch outgrows L1 — and each per-sample dot
-// accumulates in the identical order to Forward, so the results are
-// bit-identical to len(xs) scalar Forward calls. The layer's Backward
-// caches are untouched: ForwardBatch is inference-only and safe to
-// interleave with training Forward/Backward pairs.
+// ForwardBatch computes y = W·x + b for a whole batch of inputs, writing
+// row j of ys for row j of xs. The kernel is blocked over four samples and
+// two outputs: each pass over the inputs loads two weight rows and four
+// input rows and feeds eight independent dot products, where Forward runs
+// one serial chain of adds per output and so waits on every add. Blocking
+// changes only which dot products share a pass, never the order of one
+// dot product's adds: each still starts from the bias and adds
+// row[i]·x[i] in i order, so the results are bit-identical to len(xs)
+// scalar Forward calls. The layer's Backward caches are untouched, so
+// ForwardBatch is safe to interleave with scalar Forward/Backward pairs.
 func (d *Dense) ForwardBatch(xs, ys [][]float64) {
-	for j, x := range xs {
-		y := ys[j]
-		for o := 0; o < d.Out; o++ {
-			sum := d.Bias.W[o]
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
-			for i, xi := range x {
-				sum += row[i] * xi
+	in, out := d.In, d.Out
+	w, bias := d.Weight.W[:in*out], d.Bias.W[:out]
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		x0, x1, x2, x3 := xs[j][:in], xs[j+1][:in], xs[j+2][:in], xs[j+3][:in]
+		y0, y1, y2, y3 := ys[j][:out], ys[j+1][:out], ys[j+2][:out], ys[j+3][:out]
+		o := 0
+		for ; o+2 <= out; o += 2 {
+			ra, rb := w[o*in:][:in], w[(o+1)*in:][:in]
+			a0, a1, a2, a3 := bias[o], bias[o], bias[o], bias[o]
+			b0, b1, b2, b3 := bias[o+1], bias[o+1], bias[o+1], bias[o+1]
+			for i, wa := range ra {
+				// One input value at a time, used by both rows, keeps the
+				// eight accumulators in registers.
+				wb := rb[i]
+				v := x0[i]
+				a0 += wa * v
+				b0 += wb * v
+				v = x1[i]
+				a1 += wa * v
+				b1 += wb * v
+				v = x2[i]
+				a2 += wa * v
+				b2 += wb * v
+				v = x3[i]
+				a3 += wa * v
+				b3 += wb * v
+			}
+			y0[o], y1[o], y2[o], y3[o] = a0, a1, a2, a3
+			y0[o+1], y1[o+1], y2[o+1], y3[o+1] = b0, b1, b2, b3
+		}
+		if o < out {
+			row := w[o*in:][:in]
+			a0, a1, a2, a3 := bias[o], bias[o], bias[o], bias[o]
+			for i, wa := range row {
+				a0 += wa * x0[i]
+				a1 += wa * x1[i]
+				a2 += wa * x2[i]
+				a3 += wa * x3[i]
+			}
+			y0[o], y1[o], y2[o], y3[o] = a0, a1, a2, a3
+		}
+	}
+	// Past the last block of four samples, each sample runs four outputs
+	// per pass, again four independent chains.
+	for ; j < len(xs); j++ {
+		x, y := xs[j][:in], ys[j][:out]
+		o := 0
+		for ; o+4 <= out; o += 4 {
+			r0, r1, r2, r3 := w[o*in:][:in], w[(o+1)*in:][:in], w[(o+2)*in:][:in], w[(o+3)*in:][:in]
+			s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
+			for i, v := range x {
+				s0 += r0[i] * v
+				s1 += r1[i] * v
+				s2 += r2[i] * v
+				s3 += r3[i] * v
+			}
+			y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+		}
+		for ; o < out; o++ {
+			sum := bias[o]
+			for i, wi := range w[o*in:][:in] {
+				sum += wi * x[i]
 			}
 			y[o] = sum
 		}
 	}
+}
+
+// BackwardBatch is Backward over a minibatch: given the inputs xs the
+// batch was forwarded on and dL/d(output) per sample in grads, it adds the
+// weight and bias gradients of every sample to the layer's Params and,
+// when gxs is non-nil, writes each sample's dL/d(input) to gxs. A caller
+// that needs no input gradient (the first layer) passes nil and skips that
+// work entirely.
+//
+// The result is bit-identical to calling Backward once per sample in
+// order: each Weight.G and Bias.G element receives its per-sample terms in
+// sample order, each input gradient receives its per-output terms in
+// output order, and exactly-zero output gradients are skipped as Backward
+// skips them. The kernels block four terms per pass — four samples' rows
+// into one weight-gradient row, four weight rows into one input gradient —
+// so each accumulator is loaded and stored once per four adds.
+func (d *Dense) BackwardBatch(xs, grads, gxs [][]float64) {
+	var acc axpy4
+	for o := 0; o < d.Out; o++ {
+		grow := d.Weight.G[o*d.In : (o+1)*d.In]
+		for s, g := range grads {
+			if g[o] == 0 { //wfvet:ignore floateq sparsity skip; only exactly-zero gradients are safe to skip
+				continue
+			}
+			d.Bias.G[o] += g[o]
+			acc.add(grow, g[o], xs[s])
+		}
+		acc.flush(grow)
+	}
+	if gxs == nil {
+		return
+	}
+	for s, g := range grads {
+		gx := gxs[s][:d.In]
+		for i := range gx {
+			gx[i] = 0
+		}
+		for o, go_ := range g[:d.Out] {
+			if go_ == 0 { //wfvet:ignore floateq sparsity skip; only exactly-zero gradients are safe to skip
+				continue
+			}
+			acc.add(gx, go_, d.Weight.W[o*d.In:(o+1)*d.In])
+		}
+		acc.flush(gx)
+	}
+}
+
+// axpy4 queues up to four scaled rows for one destination and adds them
+// in a single pass: dst[i] += c[0]·v[0][i], then += c[1]·v[1][i], and so
+// on in queue order — the per-element order of that many separate
+// dst[i] += c·v[i] loops, with one load and store of dst[i] per pass.
+type axpy4 struct {
+	c [4]float64
+	v [4][]float64
+	n int
+}
+
+// add queues c·v for dst, running the pass once four rows are queued.
+// Every add until the next flush must name the same dst.
+func (a *axpy4) add(dst []float64, c float64, v []float64) {
+	a.c[a.n], a.v[a.n] = c, v
+	a.n++
+	if a.n == 4 {
+		a.flush(dst)
+	}
+}
+
+// flush adds the queued rows into dst, in one pass however many are
+// queued, and empties the queue.
+func (a *axpy4) flush(dst []float64) {
+	n := len(dst)
+	c0, c1, c2, c3 := a.c[0], a.c[1], a.c[2], a.c[3]
+	switch a.n {
+	case 4:
+		v0, v1, v2, v3 := a.v[0][:n], a.v[1][:n], a.v[2][:n], a.v[3][:n]
+		for i, s := range dst {
+			s += c0 * v0[i]
+			s += c1 * v1[i]
+			s += c2 * v2[i]
+			s += c3 * v3[i]
+			dst[i] = s
+		}
+	case 3:
+		v0, v1, v2 := a.v[0][:n], a.v[1][:n], a.v[2][:n]
+		for i, s := range dst {
+			s += c0 * v0[i]
+			s += c1 * v1[i]
+			s += c2 * v2[i]
+			dst[i] = s
+		}
+	case 2:
+		v0, v1 := a.v[0][:n], a.v[1][:n]
+		for i, s := range dst {
+			s += c0 * v0[i]
+			s += c1 * v1[i]
+			dst[i] = s
+		}
+	case 1:
+		v0 := a.v[0][:n]
+		for i, s := range dst {
+			s += c0 * v0[i]
+			dst[i] = s
+		}
+	}
+	a.n = 0
 }
 
 // Backward implements Layer.
@@ -224,6 +391,34 @@ func (l *Dropout) Forward(x []float64, train bool) []float64 {
 		}
 	}
 	return l.y
+}
+
+// ForwardBatch is the training-mode Forward over a minibatch: it samples
+// a fresh mask per sample, in sample order, writing row j of ys and masks
+// for row j of xs (ys may alias xs). The layer's RNG is drawn exactly as
+// len(xs) training Forward calls draw it, so the masks and outputs are
+// bit-identical; the gradient is dL/dy times the mask, as in Backward.
+func (l *Dropout) ForwardBatch(xs, ys, masks [][]float64) {
+	keep := 1 - l.P
+	for j, x := range xs {
+		y, mask := ys[j][:len(x)], masks[j][:len(x)]
+		if l.P <= 0 {
+			copy(y, x)
+			for i := range mask {
+				mask[i] = 1
+			}
+			continue
+		}
+		for i, v := range x {
+			if l.rng.Float64() < l.P {
+				mask[i] = 0
+				y[i] = 0
+			} else {
+				mask[i] = 1 / keep
+				y[i] = v / keep
+			}
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -12,6 +12,14 @@ import "math"
 // dL/dlogits (softmax(z) − onehot). For the DTM the classes are
 // {runs, crashes}.
 func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
+	grad := make([]float64, len(logits))
+	return CrossEntropyLogitsInto(logits, class, grad), grad
+}
+
+// CrossEntropyLogitsInto is CrossEntropyLogits writing dL/dlogits into
+// grad (len(grad) ≥ len(logits)) instead of a fresh slice — the
+// allocation-free form the minibatch training loop uses.
+func CrossEntropyLogitsInto(logits []float64, class int, grad []float64) float64 {
 	// Stable softmax.
 	max := logits[0]
 	for _, z := range logits[1:] {
@@ -20,7 +28,7 @@ func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
 		}
 	}
 	sum := 0.0
-	probs := make([]float64, len(logits))
+	probs := grad[:len(logits)]
 	for i, z := range logits {
 		probs[i] = math.Exp(z - max)
 		sum += probs[i]
@@ -29,9 +37,8 @@ func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
 		probs[i] /= sum
 	}
 	loss := -math.Log(math.Max(probs[class], 1e-12))
-	grad := probs
-	grad[class] -= 1
-	return loss, grad
+	probs[class] -= 1
+	return loss
 }
 
 // BinaryCrossEntropyLogit computes BCE on a single logit against target

@@ -459,3 +459,321 @@ func BenchmarkAdamStep(b *testing.B) {
 		opt.Step(d.Params())
 	}
 }
+
+// kernelBatch returns n random input rows of dim features and n output
+// gradient rows of out entries in which about half the entries are
+// exactly zero, as a ReLU or a dropout mask leaves them; one row is
+// entirely zero and one gradient entry is negative zero.
+func kernelBatch(r *rng.RNG, n, dim, out int) (xs, grads [][]float64) {
+	for s := 0; s < n; s++ {
+		x := make([]float64, dim)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		g := make([]float64, out)
+		for o := range g {
+			if s != 2 && r.Bool() {
+				g[o] = r.NormFloat64()
+			}
+		}
+		xs, grads = append(xs, x), append(grads, g)
+	}
+	if n > 1 && out > 1 {
+		grads[1][out-1] = math.Copysign(0, -1)
+	}
+	return xs, grads
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDenseBatchKernelsMatchScalar pins the blocked kernels to the scalar
+// reference bit for bit: ForwardBatch against Forward, and BackwardBatch
+// (with and without input gradients) against Backward called once per
+// sample in order, for batch tails 1–7 past the four-sample blocks and an
+// odd output count, with exactly-zero output gradients in the batch.
+func TestDenseBatchKernelsMatchScalar(t *testing.T) {
+	for _, shape := range [][2]int{{3, 5}, {13, 8}, {61, 7}} {
+		in, out := shape[0], shape[1]
+		for n := 1; n <= 11; n++ {
+			r := rng.New(uint64(100*in + n))
+			ref, blk := NewDense(in, out, rng.New(5)), NewDense(in, out, rng.New(5))
+			xs, grads := kernelBatch(r, n, in, out)
+			// An infinite input: a skipped zero gradient must not meet it,
+			// or 0·Inf turns its weight gradient into NaN.
+			xs[n-1][0] = math.Inf(1)
+			// Start from non-zero accumulated gradients, as the second
+			// minibatch of an epoch would if Step did not clear them.
+			for i := range ref.Weight.G {
+				ref.Weight.G[i] = r.NormFloat64()
+			}
+			copy(blk.Weight.G, ref.Weight.G)
+
+			ys := make([][]float64, n)
+			gxs := make([][]float64, n)
+			for s := range ys {
+				ys[s], gxs[s] = make([]float64, out), make([]float64, in)
+			}
+			blk.ForwardBatch(xs, ys)
+			blk.BackwardBatch(xs, grads, gxs)
+			for s, x := range xs {
+				y := ref.Forward(x, true)
+				if !sameBits(y, ys[s]) {
+					t.Fatalf("%dx%d n=%d sample %d: ForwardBatch %v, Forward %v", in, out, n, s, ys[s], y)
+				}
+				gx := ref.Backward(grads[s])
+				if !sameBits(gx, gxs[s]) {
+					t.Fatalf("%dx%d n=%d sample %d: input gradient %v, Backward %v", in, out, n, s, gxs[s], gx)
+				}
+			}
+			if !sameBits(blk.Weight.G, ref.Weight.G) || !sameBits(blk.Bias.G, ref.Bias.G) {
+				t.Fatalf("%dx%d n=%d: BackwardBatch parameter gradients differ from Backward", in, out, n)
+			}
+			// Without input gradients the parameter gradients are the same.
+			again := NewDense(in, out, rng.New(5))
+			for i := range again.Weight.G {
+				again.Weight.G[i] = blk.Weight.G[i]
+			}
+			copy(again.Bias.G, blk.Bias.G)
+			blk.BackwardBatch(xs, grads, nil)
+			again.BackwardBatch(xs, grads, gxs)
+			if !sameBits(blk.Weight.G, again.Weight.G) || !sameBits(blk.Bias.G, again.Bias.G) {
+				t.Fatalf("%dx%d n=%d: BackwardBatch without input gradients changed the parameter gradients", in, out, n)
+			}
+		}
+	}
+}
+
+// TestDropoutBatchMatchesScalar checks that the batched training forward
+// draws the same masks, in the same order, as per-sample Forward calls.
+func TestDropoutBatchMatchesScalar(t *testing.T) {
+	for _, p := range []float64{0, 0.3} {
+		ref, blk := NewDropout(9, p, rng.New(4)), NewDropout(9, p, rng.New(4))
+		xs, _ := kernelBatch(rng.New(6), 7, 9, 1)
+		ys, masks := make([][]float64, len(xs)), make([][]float64, len(xs))
+		for s := range xs {
+			ys[s], masks[s] = make([]float64, 9), make([]float64, 9)
+		}
+		blk.ForwardBatch(xs, ys, masks)
+		for s, x := range xs {
+			y := ref.Forward(x, true)
+			if !sameBits(y, ys[s]) || !sameBits(ref.mask, masks[s]) {
+				t.Fatalf("p=%v sample %d: batch %v/%v, scalar %v/%v", p, s, ys[s], masks[s], y, ref.mask)
+			}
+		}
+	}
+}
+
+// TestRBFKernelsMatchScalar checks MaxActivation (nearest-centroid
+// shortcut) and MaxActivationBatch (two points and four centroids per
+// pass) against the maximum over Forward, and ChamferLoss against a
+// one-point, one-centroid-at-a-time reference, for centroid counts around
+// the four-centroid blocks, an odd number of points, and a tie.
+func TestRBFKernelsMatchScalar(t *testing.T) {
+	for k := 0; k <= 9; k++ {
+		b := NewRBFBank(5, k, 0.7, rng.New(uint64(k)))
+		if k > 2 {
+			copy(b.Centroids.W[2*5:3*5], b.Centroids.W[:5]) // a tie
+		}
+		zs, _ := kernelBatch(rng.New(uint64(20+k)), 6, 5, 1)
+		if k > 0 {
+			zs = append(zs, append([]float64(nil), b.Centroids.W[:5]...)) // on a centroid
+		}
+		if k > 1 {
+			// Two points at exactly the same distance from centroid 1, the
+			// nearest to both: the earlier one must win its term-2 pull.
+			clear(b.Centroids.W[5:10])
+			zs = append(zs, []float64{1, 0, 0, 0, 0}, []float64{0, 1, 0, 0, 0})
+		}
+		batch := make([]float64, len(zs))
+		b.MaxActivationBatch(zs, batch)
+		for r, z := range zs {
+			want := 0.0
+			for _, p := range b.Forward(z, false) {
+				if p > want {
+					want = p
+				}
+			}
+			if got := b.MaxActivation(z); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d: MaxActivation %v, max Forward %v", k, got, want)
+			}
+			if math.Float64bits(batch[r]) != math.Float64bits(want) {
+				t.Fatalf("k=%d row %d: MaxActivationBatch %v, max Forward %v", k, r, batch[r], want)
+			}
+		}
+		if k == 0 {
+			continue
+		}
+		// At Gamma 0 an exact hit on a centroid makes Forward's φ NaN,
+		// which the maximum skips.
+		flat := &RBFBank{In: b.In, K: b.K, Centroids: b.Centroids, phi: make([]float64, b.K)}
+		onC := b.Centroids.W[:5]
+		want := 0.0
+		for _, p := range flat.Forward(onC, false) {
+			if p > want {
+				want = p
+			}
+		}
+		one := make([]float64, 1)
+		flat.MaxActivationBatch([][]float64{onC}, one)
+		if a := flat.MaxActivation(onC); math.Float64bits(a) != math.Float64bits(want) || math.Float64bits(one[0]) != math.Float64bits(want) {
+			t.Fatalf("k=%d, Gamma 0: MaxActivation %v, batch %v, max Forward %v", k, a, one[0], want)
+		}
+		ref := &RBFBank{In: b.In, K: b.K, Gamma: b.Gamma,
+			Centroids: &Param{W: append([]float64(nil), b.Centroids.W...), G: make([]float64, len(b.Centroids.G))}}
+		got, want := b.ChamferLoss(zs), chamferReference(ref, zs)
+		if math.Float64bits(got) != math.Float64bits(want) || !sameBits(b.Centroids.G, ref.Centroids.G) {
+			t.Fatalf("k=%d: ChamferLoss %v, reference %v (or gradients differ)", k, got, want)
+		}
+	}
+}
+
+// chamferReference is ChamferLoss scanning one centroid at a time.
+func chamferReference(b *RBFBank, batch [][]float64) float64 {
+	loss := 0.0
+	invZ := 1 / float64(len(batch))
+	nearestToC := make([]int, b.K)
+	bestForC := make([]float64, b.K)
+	for j := range bestForC {
+		bestForC[j] = math.Inf(1)
+	}
+	for zi, z := range batch {
+		best, bestJ := math.Inf(1), 0
+		for j := 0; j < b.K; j++ {
+			c := b.Centroids.W[j*b.In : (j+1)*b.In]
+			d2 := 0.0
+			for i := range z {
+				d := z[i] - c[i]
+				d2 += d * d
+			}
+			if d2 < best {
+				best, bestJ = d2, j
+			}
+			if d2 < bestForC[j] {
+				bestForC[j] = d2
+				nearestToC[j] = zi
+			}
+		}
+		loss += best * invZ
+		c := b.Centroids.W[bestJ*b.In : (bestJ+1)*b.In]
+		gc := b.Centroids.G[bestJ*b.In : (bestJ+1)*b.In]
+		for i := range z {
+			gc[i] += 2 * (c[i] - z[i]) * invZ
+		}
+	}
+	invC := 1 / float64(b.K)
+	for j := 0; j < b.K; j++ {
+		z := batch[nearestToC[j]]
+		c := b.Centroids.W[j*b.In : (j+1)*b.In]
+		gc := b.Centroids.G[j*b.In : (j+1)*b.In]
+		loss += bestForC[j] * invC
+		for i := range z {
+			gc[i] += 2 * (c[i] - z[i]) * invC
+		}
+	}
+	return loss
+}
+
+// BenchmarkDenseForwardBatch and BenchmarkDenseBackwardBatch run one
+// DeepTune minibatch (16 samples) through the served shape's first trunk
+// layer, 397 features into 64 units; the backward pass computes weight
+// gradients only, as for that layer in training.
+func BenchmarkDenseForwardBatch(b *testing.B) {
+	d := NewDense(397, 64, rng.New(1))
+	xs, _ := kernelBatch(rng.New(2), 16, 397, 64)
+	ys := make([][]float64, len(xs))
+	for s := range ys {
+		ys[s] = make([]float64, 64)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ForwardBatch(xs, ys)
+	}
+}
+
+func BenchmarkDenseBackwardBatch(b *testing.B) {
+	d := NewDense(397, 64, rng.New(1))
+	xs, grads := kernelBatch(rng.New(2), 16, 397, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.BackwardBatch(xs, grads, nil)
+	}
+}
+
+// adamReference is the textbook Adam update, one parameter element at a
+// time with no hoisting or skipped divisions: the reference Adam.Step is
+// pinned to.
+type adamReference struct {
+	t    int
+	m, v map[*Param][]float64
+}
+
+func (o *adamReference) step(params []*Param, lr float64) {
+	// Variables, not constants: 1−β must round at run time as it does in
+	// Adam, not exactly at compile time.
+	beta1, beta2, eps := 0.9, 0.999, 1e-8
+	o.t++
+	bc1 := 1 - math.Pow(beta1, float64(o.t))
+	bc2 := 1 - math.Pow(beta2, float64(o.t))
+	for _, p := range params {
+		if o.m[p] == nil {
+			o.m[p], o.v[p] = make([]float64, len(p.W)), make([]float64, len(p.W))
+		}
+		m, v := o.m[p], o.v[p]
+		for i := range p.W {
+			g := p.G[i]
+			m[i] = beta1*m[i] + (1-beta1)*g
+			v[i] = beta2*v[i] + (1-beta2)*g*g
+			mHat := m[i] / bc1
+			vHat := v[i] / bc2
+			p.W[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+		}
+		p.ZeroGrad()
+	}
+}
+
+// TestAdamStepScaledMatchesReference pins the optimizer bit for bit to
+// the textbook update after ClipGradients, over enough steps to pass the
+// point (t = 356) where the first-moment bias correction becomes exactly
+// 1 and its division is skipped, both when the norm is clipped and when
+// it is not: Step after ClipGradients, and StepScaled with ClipScale's
+// factor applied inside the update loop.
+func TestAdamStepScaledMatchesReference(t *testing.T) {
+	for _, maxNorm := range []float64{0.5, 1e9} {
+		layers := []*Dense{NewDense(7, 5, rng.New(3)), NewDense(7, 5, rng.New(3)), NewDense(7, 5, rng.New(3))}
+		ref := &adamReference{m: map[*Param][]float64{}, v: map[*Param][]float64{}}
+		stepped, fused := NewAdam(0.01), NewAdam(0.01)
+		r := rng.New(4)
+		for step := 0; step < 400; step++ {
+			for i := range layers[0].Weight.G {
+				g := r.NormFloat64()
+				for _, l := range layers {
+					l.Weight.G[i] = g
+				}
+			}
+			ClipGradients(layers[0].Params(), maxNorm)
+			ref.step(layers[0].Params(), 0.01)
+			ClipGradients(layers[1].Params(), maxNorm)
+			stepped.Step(layers[1].Params())
+			fused.StepScaled(layers[2].Params(), ClipScale(layers[2].Params(), maxNorm))
+		}
+		for k, p := range layers[0].Params() {
+			for n, o := range []*Adam{stepped, fused} {
+				q := layers[n+1].Params()[k]
+				m, v := o.Moments(q)
+				if !sameBits(p.W, q.W) || !sameBits(p.G, q.G) || !sameBits(ref.m[p], m) || !sameBits(ref.v[p], v) {
+					t.Fatalf("maxNorm %v, param %d, optimizer %d: diverged from the reference update", maxNorm, k, n)
+				}
+			}
+		}
+	}
+}

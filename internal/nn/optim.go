@@ -66,10 +66,26 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step implements Optimizer.
-func (o *Adam) Step(params []*Param) {
+func (o *Adam) Step(params []*Param) { o.StepScaled(params, 1) }
+
+// StepScaled is Step on every gradient multiplied by scale — the factor
+// ClipScale returns — applied as the update loop reads each gradient, so
+// clipping costs no pass of its own. The product is the value a separate
+// scaling pass would have stored, and multiplying by 1 is exact, so
+// StepScaled(params, ClipScale(params, n)) equals ClipGradients(params, n)
+// then Step(params), and StepScaled(params, 1) equals Step(params).
+//
+// The hyperparameters are read into locals once per step, and each
+// gradient is cleared in the same loop rather than in a second pass
+// (ZeroGrad). Once β₁ᵗ < 2⁻⁵⁴ (t ≥ 356 at β₁ = 0.9) the bias correction
+// 1−β₁ᵗ rounds to exactly 1, and the division by it, an identity from then
+// on, is skipped.
+func (o *Adam) StepScaled(params []*Param, scale float64) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	lr, b1, b2, eps := o.LR, o.Beta1, o.Beta2, o.Epsilon
+	c1, c2 := 1-b1, 1-b2
 	for _, p := range params {
 		m := o.m[p]
 		if m == nil {
@@ -81,21 +97,52 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			o.v[p] = v
 		}
-		for i := range p.W {
-			g := p.G[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			p.W[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
+		w, grad := p.W, p.G[:len(p.W)]
+		m, v = m[:len(w)], v[:len(w)]
+		// Two copies of one loop, so that neither branches per element.
+		if bc1 != 1 { //wfvet:ignore floateq x/1 is exactly x, so only an exactly-one divisor may be skipped
+			for i := range w {
+				g := grad[i] * scale
+				grad[i] = 0
+				mi := b1*m[i] + c1*g
+				vi := b2*v[i] + c2*g*g
+				m[i], v[i] = mi, vi
+				w[i] -= lr * (mi / bc1) / (math.Sqrt(vi/bc2) + eps)
+			}
+			continue
 		}
-		p.ZeroGrad()
+		for i := range w {
+			g := grad[i] * scale
+			grad[i] = 0
+			mi := b1*m[i] + c1*g
+			vi := b2*v[i] + c2*g*g
+			m[i], v[i] = mi, vi
+			w[i] -= lr * mi / (math.Sqrt(vi/bc2) + eps)
+		}
 	}
 }
+
+// Moments returns Adam's first and second moment estimates for p (nil
+// before p's first step), for audits that pin the optimizer state.
+func (o *Adam) Moments(p *Param) (m, v []float64) { return o.m[p], o.v[p] }
 
 // ClipGradients scales gradients down so their global L2 norm is at most
 // maxNorm, stabilizing incremental updates on small, skewed batches.
 func ClipGradients(params []*Param, maxNorm float64) {
+	scale := ClipScale(params, maxNorm)
+	if scale == 1 { //wfvet:ignore floateq 1 is ClipScale's exact "no clipping" result
+		return
+	}
+	for _, p := range params {
+		for i := range p.G {
+			p.G[i] *= scale
+		}
+	}
+}
+
+// ClipScale returns the factor ClipGradients multiplies every gradient
+// by: maxNorm/‖g‖ when the global L2 norm ‖g‖ exceeds maxNorm, else 1.
+func ClipScale(params []*Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
 		for _, g := range p.G {
@@ -104,12 +151,7 @@ func ClipGradients(params []*Param, maxNorm float64) {
 	}
 	norm := math.Sqrt(total)
 	if norm <= maxNorm || norm == 0 { //wfvet:ignore floateq guards the division; only an exactly-zero norm is degenerate
-		return
+		return 1
 	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		for i := range p.G {
-			p.G[i] *= scale
-		}
-	}
+	return maxNorm / norm
 }

@@ -43,11 +43,19 @@ func Listen(addr string) (net.Listener, error) {
 	return net.Listen("unix", addr)
 }
 
+// maxSpecBytes bounds a POST /v1/jobs body. A JobSpec is a few hundred
+// bytes of JSON; the bound keeps a client from making the daemon buffer an
+// arbitrarily large body while decoding it.
+const maxSpecBytes = 1 << 20
+
 // httpError maps daemon sentinel errors onto status codes and writes a
 // JSON error body.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrBadSpec):
@@ -72,6 +80,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
+	r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		httpError(w, errors.Join(ErrBadSpec, err))
 		return

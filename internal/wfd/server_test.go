@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -211,5 +213,28 @@ func TestServerTCP(t *testing.T) {
 	}
 	if err := c.Cancel(ctx, "j999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown over TCP: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestSubmitBodyLimit checks that POST /v1/jobs refuses a body over
+// maxSpecBytes with 413 and still admits an ordinary spec with 201.
+func TestSubmitBodyLimit(t *testing.T) {
+	d, err := New(Config{Steppers: 1, Quantum: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Kill)
+	h := NewHandler(d)
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+	huge := `{"tenant":"` + strings.Repeat("a", maxSpecBytes) + `","searcher":"random","iterations":10}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if code := post(`{"tenant":"alice","searcher":"random","seed":1,"iterations":10}`); code != http.StatusCreated {
+		t.Fatalf("ordinary spec: status %d, want %d", code, http.StatusCreated)
 	}
 }
